@@ -17,9 +17,11 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -103,17 +105,40 @@ class ExperimentConfig:
         return os.environ.get(OUTPUT_ENV_VAR, "out")
 
 
+def _coerce(name: str, kind: type, value):
+    """value as the ExperimentConfig field type kind, or ValueError.
+
+    Numeric strings are parsed, integral floats become ints and ints become
+    floats; floats must be finite, and booleans are never taken for numbers.
+    """
+    try:
+        if kind in (int, float) and isinstance(value, str):
+            value = kind(value)
+        elif kind is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        elif kind is float and type(value) is int:
+            value = float(value)
+    except (ValueError, OverflowError):
+        pass
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ValueError(f"config field '{name}' must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     data: dict = {}
     if path:
         with open(path) as fh:
-            data.update(json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        data.update(doc)
     data.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(data) - known
+    types = typing.get_type_hints(ExperimentConfig)
+    unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return ExperimentConfig(**data)
+    return ExperimentConfig(**{k: _coerce(k, types[k], v) for k, v in data.items()})
 
 
 def validate(config: ExperimentConfig) -> list[dict]:
@@ -137,7 +162,7 @@ def validate(config: ExperimentConfig) -> list[dict]:
             err(f"{name} must be positive")
     if config.beta <= 1:
         err("beta must exceed 1")
-    if config.seed < 0:
+    if not 0 <= config.seed < 2**64:
         err("seed must be a non-negative 64-bit integer")
     if not _parse_drift_ok(config.drift):
         err(f"unrecognized drift spec '{config.drift}'")
@@ -509,7 +534,7 @@ def run_measure_preservation(config: ExperimentConfig, report: Report):
     grad_field = FourierScalarField(K, pc).gradient_field()
     drift = steady_flow(grad_field, config.T, 2, config.nu, require_divergence_free=False)
     params2 = SdeParams(nu=config.nu, T=config.T, drift_source=drift)
-    ens2 = simulate_stratonovich_basis(params2, basis, N=N, M=M, seed=config.seed + 1)
+    ens2 = simulate_stratonovich_basis(params2, basis, N=N, M=M, seed=(config.seed + 1) % 2**64)
     div_drift = lambda pts: -np.sin(pts[:, 0])
     dens2 = measure_density(ens2, [zero] * ens2.dW.shape[2], div_drift)
     frac = float(np.mean(np.max(np.abs(dens2 - 1.0), axis=1) > 0.01))

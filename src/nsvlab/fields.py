@@ -90,6 +90,26 @@ class FourierVectorField:
             object.__setattr__(self, "_eval_cache", (kv, cf, self.mean))
         return self._eval_cache
 
+    def is_shear(self) -> bool:
+        """Whether all active wavevectors are parallel to one direction d and
+        every coefficient (real and imaginary part) and the mean are
+        orthogonal to d, within DIVFREE_TOL relative to scale.
+
+        Such a field depends on x only through d.x and never moves a point
+        along d, so w is constant along each of its trajectories.  A field
+        with no active modes is constant and counts too.
+        """
+        kv, cf, mn = self._compiled()
+        if kv.shape[0] == 0:
+            return True
+        d = kv[0]
+        # wavevectors hold small integers, so the cross products are exact
+        if np.any(kv[:, 0] * d[1] - kv[:, 1] * d[0] != 0):
+            return False
+        parts = np.concatenate([cf.real, cf.imag, mn[None, :]])
+        scale = np.linalg.norm(d) * np.max(np.abs(parts))
+        return bool(np.max(np.abs(parts @ d)) <= DIVFREE_TOL * scale)
+
     # -- pointwise evaluation (exact trig summation) ------------------------
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:

@@ -108,6 +108,20 @@ def hessian_bound(p: FourierScalarField, n: int = 128) -> float:
     return float(np.max(lam))
 
 
+def _stack_active_modes(coeff_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Half-lattice wavevectors active in any of the given coefficient arrays
+    (scalar or vector), and the per-array coefficients stacked on them."""
+    K = (coeff_list[0].shape[0] - 1) // 2
+    k1, k2 = _wavegrid(K)
+    half = (k1 > 0) | ((k1 == 0) & (k2 > 0))
+    active = np.zeros_like(half)
+    for c in coeff_list:
+        active |= np.abs(c).reshape(half.shape + (-1,)).max(axis=-1) > 0
+    active &= half
+    kv = np.stack([k1[active], k2[active]], axis=-1)
+    return kv, np.stack([c[active] for c in coeff_list])
+
+
 @dataclass
 class TimeDependentVelocity:
     """Velocity frames u(t_j) with pressure companions on a uniform time grid.
@@ -157,30 +171,31 @@ class TimeDependentVelocity:
     def _compile(self):
         """Stack active half-lattice modes shared by all frames."""
         if self._compiled is None:
-            K = self.K
-            k1, k2 = _wavegrid(K)
-            half = (k1 > 0) | ((k1 == 0) & (k2 > 0))
-            active = np.zeros_like(half)
-            for f in self.frames:
-                active |= np.abs(f.coeffs).max(axis=-1) > 0
-            active &= half
-            kv = np.stack([k1[active], k2[active]], axis=-1)
-            stack = np.stack([f.coeffs[active] for f in self.frames])
+            kv, stack = _stack_active_modes([f.coeffs for f in self.frames])
             means = np.stack([f.mean for f in self.frames])
             self._compiled = (kv, stack, means)
         return self._compiled
 
-    def _interp(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Linear-in-coefficients interpolation at time s (clamped to [0, T])."""
-        kv, stack, means = self._compile()
+    def _compile_pressure(self):
+        if self._pressure_compiled is None:
+            self._pressure_compiled = _stack_active_modes([p.coeffs for p in self.pressures])
+        return self._pressure_compiled
+
+    def _interp(self, s: float, compiled=None) -> tuple:
+        """Linear-in-coefficients interpolation at time s (clamped to [0, T]).
+
+        compiled is (kvecs, per-frame stacks...), the velocity's by default;
+        returns kvecs and each stack interpolated to s.
+        """
+        kv, *stacks = self._compile() if compiled is None else compiled
         M = self.times.size - 1
         if M == 0:
-            return kv, stack[0], means[0]
+            return (kv, *(st[0] for st in stacks))
         dt = self.times[1] - self.times[0]
         x = np.clip(s, 0.0, self.T) / dt
         j = min(int(np.floor(x)), M - 1)
         w = x - j
-        return kv, (1.0 - w) * stack[j] + w * stack[j + 1], (1.0 - w) * means[j] + w * means[j + 1]
+        return (kv, *((1.0 - w) * st[j] + w * st[j + 1] for st in stacks))
 
     def velocity_at(self, s: float, points: np.ndarray) -> np.ndarray:
         kv, cf, mn = self._interp(s)
@@ -202,30 +217,10 @@ class TimeDependentVelocity:
             + np.einsum("nm,ma,mb->nab", np.cos(ph), cf.imag, kv)
         )
 
-    def _compile_pressure(self):
-        if self._pressure_compiled is None:
-            K = self.K
-            k1, k2 = _wavegrid(K)
-            half = (k1 > 0) | ((k1 == 0) & (k2 > 0))
-            active = np.zeros_like(half)
-            for p in self.pressures:
-                active |= np.abs(p.coeffs) > 0
-            active &= half
-            kv = np.stack([k1[active], k2[active]], axis=-1)
-            stack = np.stack([p.coeffs[active] for p in self.pressures])
-            self._pressure_compiled = (kv, stack)
-        return self._pressure_compiled
-
     def pressure_at(self, s: float, points: np.ndarray) -> np.ndarray:
         if not self.pressures:
             return np.zeros(points.shape[0])
-        kv, stack = self._compile_pressure()
-        M = self.times.size - 1
-        dt = self.times[1] - self.times[0]
-        x = np.clip(s, 0.0, self.T) / dt
-        j = min(int(np.floor(x)), M - 1)
-        w = x - j
-        cf = (1.0 - w) * stack[j] + w * stack[j + 1]
+        kv, cf = self._interp(s, self._compile_pressure())
         if kv.shape[0] == 0:
             return np.zeros(points.shape[0])
         ph = points @ kv.T
@@ -234,13 +229,7 @@ class TimeDependentVelocity:
     def pressure_gradient_at(self, s: float, points: np.ndarray) -> np.ndarray:
         if not self.pressures:
             return np.zeros((points.shape[0], 2))
-        kv, stack = self._compile_pressure()
-        M = self.times.size - 1
-        dt = self.times[1] - self.times[0]
-        x = np.clip(s, 0.0, self.T) / dt
-        j = min(int(np.floor(x)), M - 1)
-        w = x - j
-        cf = (1.0 - w) * stack[j] + w * stack[j + 1]
+        kv, cf = self._interp(s, self._compile_pressure())
         if kv.shape[0] == 0:
             return np.zeros((points.shape[0], 2))
         ph = points @ kv.T

@@ -26,18 +26,29 @@ from .sde import PathEnsemble, REVERSED
 
 
 def flow_points(w: FourierVectorField, tau, points: np.ndarray, n_steps: int = 4) -> np.ndarray:
-    """RK4 flow of dx/ds = w(x) over per-point horizons tau (scalar or array)."""
+    """Flow of dx/ds = w(x) over per-point horizons tau (scalar or array).
+
+    When w is a shear field (w.is_shear(): all active wavevectors parallel to
+    one direction d, every coefficient and the mean orthogonal to d), d.x is
+    invariant along the flow because d.w = 0, so w is constant along each
+    trajectory and the flow is exactly x + tau w(x): one evaluation.  Every
+    single-mode frame field, and every constant field, is a shear field.  Any
+    other field is integrated by n_steps classical RK4 steps.
+    """
     x = np.atleast_2d(np.asarray(points, dtype=float)).copy()
     tau = np.broadcast_to(np.asarray(tau, dtype=float), x.shape[:1])
-    h = (tau / n_steps)[:, None]
-    for _ in range(n_steps):
-        k1 = w.evaluate_at(x)
-        k2 = w.evaluate_at(x + 0.5 * h * k1)
-        k3 = w.evaluate_at(x + 0.5 * h * k2)
-        k4 = w.evaluate_at(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError("perturbation flow produced non-finite values")
+    if w.is_shear():
+        x = x + tau[:, None] * w.evaluate_at(x)
+    else:
+        h = (tau / n_steps)[:, None]
+        for _ in range(n_steps):
+            k1 = w.evaluate_at(x)
+            k2 = w.evaluate_at(x + 0.5 * h * k1)
+            k3 = w.evaluate_at(x + 0.5 * h * k2)
+            k4 = w.evaluate_at(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError("perturbation flow produced non-finite values")
     return x
 
 
@@ -127,7 +138,9 @@ def first_variation_fd(
     paths, so per-path derivative samples difference away most noise.  The
     two Richardson extrapolants from consecutive epsilon pairs must agree
     within richardson_tol relative to scale, else the step schedule is
-    rejected as too coarse or too fine.
+    rejected as too coarse or too fine.  n_flow_steps sets the RK4 steps of
+    the perturbation flow and acts only on non-shear test fields; a shear
+    field's flow is taken in closed form (see flow_points).
     """
     if len(eps_list) < 2:
         raise ValueError("need at least two epsilon levels")
@@ -318,8 +331,9 @@ def minimality_check(
         B_star = S_star - P_star
         est_S_star = EstimateWithError.from_samples(S_star)
         est_B_star = EstimateWithError.from_samples(B_star)
-        half_v2 = EstimateWithError.from_samples(0.5 * member.offset_energy_per_path())
-        gap = EstimateWithError.from_samples(S_star - S_g - 0.5 * member.offset_energy_per_path())
+        half_offset = 0.5 * member.offset_energy_per_path()
+        half_v2 = EstimateWithError.from_samples(half_offset)
+        gap = EstimateWithError.from_samples(S_star - S_g - half_offset)
         ratios = member.poincare_ratios()
         row = {
             "member": name,

@@ -42,6 +42,14 @@ class TestValidate:
         issues = validate(make_config("nonsense"))
         assert any("unknown experiment" in i["message"] for i in issues)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 99999999999999999999999])
+    def test_seed_outside_64_bits_flagged(self, seed):
+        issues = validate(make_config("action", seed=seed))
+        assert any("64-bit" in i["message"] and i["level"] == "error" for i in issues)
+
+    def test_largest_64_bit_seed_accepted(self):
+        assert validate(make_config("action", seed=2**64 - 1)) == []
+
     def test_bad_drift_spec_flagged(self):
         issues = validate(make_config("action", drift="corrupted:abc"))
         assert any("drift" in i["message"] for i in issues)
@@ -59,6 +67,24 @@ class TestConfigLoading:
         cfg_file.write_text(json.dumps({"experiment": "action", "bogus": 1}))
         with pytest.raises(ValueError):
             load_config(str(cfg_file), {})
+
+    def test_numeric_strings_coerced_by_field_type(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"experiment": "action", "N": "100", "nu": "0.2", "T": 2}))
+        cfg = load_config(str(cfg_file), {})
+        assert (cfg.N, cfg.nu, cfg.T) == (100, 0.2, 2.0)
+        assert type(cfg.N) is int and type(cfg.T) is float
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"N": "many"}, {"N": 1.5}, {"N": True}, {"nu": "nan"}, {"drift": 3}, {"save_paths": "yes"}],
+    )
+    def test_wrong_types_exit_one_with_one_line(self, tmp_path, capsys, bad):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"experiment": "action", **bad}))
+        assert main(["action", "--config", str(cfg_file), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and next(iter(bad)) in err[0]
 
     def test_output_dir_env_fallback(self, monkeypatch):
         monkeypatch.setenv("NSVLAB_OUT", "/tmp/somewhere")
@@ -157,6 +183,13 @@ class TestPlots:
 class TestMainEntry:
     def test_usage_error_exit_one(self):
         assert main(["no-such-experiment"]) == 1
+
+    def test_huge_seed_exit_one_with_one_line(self, tmp_path, capsys):
+        argv = ["action", "--drift", "zero", "--seed", "99999999999999999999999", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: seed must be a non-negative 64-bit integer"]
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_config_file_exit_one(self):
         assert main(["action", "--config", "/nonexistent.json"]) == 1

@@ -177,6 +177,16 @@ class TestTimeDependentVelocity:
         want = 0.5 * (tg.frames[5].evaluate_at(pts) + tg.frames[6].evaluate_at(pts))
         np.testing.assert_allclose(tg.velocity_at(s, pts), want, atol=1e-14)
 
+    @pytest.mark.parametrize("s", [0.0, 0.05, 0.3])
+    def test_one_frame_history_is_that_frame(self, s):
+        tg = taylor_green(NU, 0.1, 0)
+        pts = np.random.default_rng(3).uniform(0, 2 * np.pi, (64, 2))
+        u, p = tg.frames[0], tg.pressures[0]
+        np.testing.assert_array_equal(tg.velocity_at(s, pts), u.evaluate_at(pts))
+        np.testing.assert_array_equal(tg.velocity_gradient_at(s, pts), u.gradient_at(pts))
+        np.testing.assert_array_equal(tg.pressure_at(s, pts), p.evaluate_at(pts))
+        np.testing.assert_array_equal(tg.pressure_gradient_at(s, pts), p.gradient_at(pts))
+
     def test_steady_flow_rejects_non_solenoidal(self):
         pc = np.zeros((5, 5), complex)
         pc[3, 2] = -0.5j

@@ -5,13 +5,14 @@ import pytest
 
 from nsvlab.action import TestPair, default_test_bank, first_variation_direct
 from nsvlab.estimates import EstimateWithError, ks_critical_value, ks_uniform_statistic
-from nsvlab.fields import SpectralBasis
+from nsvlab.fields import FourierVectorField, SpectralBasis, random_divergence_free
 from nsvlab.flows import steady_flow, taylor_green
 from nsvlab.sde import FORWARD, REVERSED, SdeParams, simulate_ito
 from nsvlab.variation import (
     PinnedPerturbation,
     first_variation_fd,
     flow_phi,
+    flow_points,
     flow_psi,
     mean_acceleration_check,
     minimality_check,
@@ -98,6 +99,63 @@ class TestPerturbationFlows:
         for d in range(2):
             assert ks_uniform_statistic(pos[:, d]) <= cap
             assert ks_uniform_statistic(pushed[:, d]) <= cap
+
+
+def rk4_reference(w, tau, points, n_steps):
+    """Classical RK4 for dx/ds = w(x), the reference for flow_points."""
+    x = np.asarray(points, dtype=float)
+    h = (np.broadcast_to(tau, x.shape[:1]) / n_steps)[:, None]
+    for _ in range(n_steps):
+        k1 = w.evaluate_at(x)
+        k2 = w.evaluate_at(x + 0.5 * h * k1)
+        k3 = w.evaluate_at(x + 0.5 * h * k2)
+        k4 = w.evaluate_at(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def shear_oracle_inputs(seed=11, n=2000):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 2 * np.pi, (n, 2)), rng.uniform(-0.2, 0.2, n)
+
+
+def single_mode_with_mean_along_k(K=2):
+    # cos(x1) e2 is a frame field; a mean along k = (1, 0) makes k.x drift
+    coeffs = np.zeros((2 * K + 1, 2 * K + 1, 2), complex)
+    coeffs[K + 1, K] = coeffs[K - 1, K] = (0.0, 0.5)
+    coeffs[K, K] = (0.3, 0.1)
+    return FourierVectorField(K, coeffs)
+
+
+class TestShearFlow:
+    """flow_points takes x + tau w(x) exactly when w is a shear field."""
+
+    @pytest.mark.parametrize("n_steps", [2, 4])
+    def test_closed_form_matches_rk4(self, bank, n_steps):
+        from helpers import constant_field
+
+        pts, tau = shear_oracle_inputs()
+        fields = [pair.w for pair in bank] + [constant_field((0.7, -0.2))]
+        for w in fields:
+            assert w.is_shear()
+            want = rk4_reference(w, tau, pts, n_steps)
+            np.testing.assert_allclose(flow_points(w, tau, pts, n_steps), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "w", [random_divergence_free(4, 5), single_mode_with_mean_along_k()], ids=["random", "mean_along_k"]
+    )
+    def test_non_shear_field_takes_rk4(self, w):
+        pts, tau = shear_oracle_inputs()
+        assert not w.is_shear()
+        out = flow_points(w, tau, pts, 4)
+        np.testing.assert_array_equal(out, rk4_reference(w, tau, pts, 4))
+        assert np.max(np.abs(out - (pts + tau[:, None] * w.evaluate_at(pts)))) > 1e-6
+
+    @pytest.mark.parametrize("shear", [True, False])
+    def test_non_finite_horizon_raises(self, bank, shear):
+        w = bank[0].w if shear else random_divergence_free(4, 5)
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            flow_points(w, np.array([0.1, np.inf]), np.ones((2, 2)))
 
 
 class TestFirstVariation:
