@@ -46,15 +46,12 @@ from .action import (
     default_test_bank,
     dpm_residual,
     first_variation_direct,
-    load_samples,
     occupation_measure,
-    save_samples,
     weak_ns_residual,
 )
 from .variation import (
     PinnedPerturbation,
     first_variation_fd,
-    flow_phi,
     flow_points,
     flow_psi,
     mean_acceleration_check,

@@ -171,37 +171,6 @@ def first_variation_direct(ens: PathEnsemble, pair: TestPair, nu: float) -> Esti
     return EstimateWithError.from_samples(per_path)
 
 
-_SAMPLES_MAGIC = b"NSVLOCC1"
-
-
-def save_samples(samples: OccupationSet, path: str) -> str:
-    """Stream occupation samples to the columnar little-endian binary layout."""
-    import struct
-
-    dim = samples.x.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(_SAMPLES_MAGIC)
-        fh.write(struct.pack("<QQQ", samples.n_paths, samples.n_times, dim))
-        fh.write(samples.t.astype("<f8").tobytes())
-        fh.write(samples.x.astype("<f8").tobytes())
-        fh.write(samples.v.astype("<f8").tobytes())
-    return path
-
-
-def load_samples(path: str) -> OccupationSet:
-    import struct
-
-    with open(path, "rb") as fh:
-        if fh.read(8) != _SAMPLES_MAGIC:
-            raise ValueError("not an occupation-sample file")
-        n_paths, n_times, dim = struct.unpack("<QQQ", fh.read(24))
-        n = n_paths * n_times
-        t = np.frombuffer(fh.read(n * 8), dtype="<f8").copy()
-        x = np.frombuffer(fh.read(n * dim * 8), dtype="<f8").reshape(n, dim).copy()
-        v = np.frombuffer(fh.read(n * dim * 8), dtype="<f8").reshape(n, dim).copy()
-    return OccupationSet(t, x, v, int(n_paths), int(n_times))
-
-
 def weak_ns_residual(u: TimeDependentVelocity, pair: TestPair) -> float:
     """Deterministic weak-form residual of a velocity history.
 

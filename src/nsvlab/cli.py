@@ -293,7 +293,7 @@ def emit_plots(report: Report, outdir: str) -> list[str]:
 # -- experiments ------------------------------------------------------------------
 
 
-def run_fields_check(config: ExperimentConfig, report: Report):
+def run_fields_check(config: ExperimentConfig, report: Report, outdir: str):
     basis = SpectralBasis(beta=config.beta, K=config.K, nu=config.nu)
     rng = np.random.default_rng(config.seed)
 
@@ -395,7 +395,7 @@ def run_simulate(config: ExperimentConfig, report: Report, outdir: str):
         save_ensemble(ens, os.path.join(outdir, "ensemble"))
 
 
-def run_action(config: ExperimentConfig, report: Report):
+def run_action(config: ExperimentConfig, report: Report, outdir: str):
     ens, _ = _simulate_from_config(config, FORWARD)
     est = kinetic_action(ens)
     report.add_estimate("action", est)
@@ -458,7 +458,7 @@ def _write_residual_csv(rows, config: ExperimentConfig, outdir: str):
             w.writerow([name, repr(res.value), repr(res.std_error), res.n, repr(config.nu), config.seed])
 
 
-def run_minimality(config: ExperimentConfig, report: Report):
+def run_minimality(config: ExperimentConfig, report: Report, outdir: str):
     drift = build_drift(config)
     if drift is None or not drift.pressures:
         raise ValueError("minimality requires a drift with pressure frames")
@@ -481,7 +481,7 @@ def run_minimality(config: ExperimentConfig, report: Report):
     report.add_estimate("martingale_variance_match", acc["variance_match"])
 
 
-def run_bridge(config: ExperimentConfig, report: Report):
+def run_bridge(config: ExperimentConfig, report: Report, outdir: str):
     j_levels = list(range(3, 9))
     # dt = (1 - 2^-8)/8160 puts every dyadic cutoff time exactly on the grid
     M = 2**13 - 2**5
@@ -514,7 +514,7 @@ def run_bridge(config: ExperimentConfig, report: Report):
     report.add_verdict("bridge_variance", var_est.within(tmid * (1 - tmid), 3))
 
 
-def run_measure_preservation(config: ExperimentConfig, report: Report):
+def run_measure_preservation(config: ExperimentConfig, report: Report, outdir: str):
     basis = SpectralBasis(beta=config.beta, K=min(config.K, 2), nu=config.nu)
     N = min(config.N, 2000)
     M = min(config.M, 400)
@@ -566,14 +566,14 @@ def _cos_x1_coeffs(K: int) -> np.ndarray:
 
 
 RUNNERS = {
-    "fields-check": lambda cfg, rep, outdir: run_fields_check(cfg, rep),
-    "ns-solve": lambda cfg, rep, outdir: run_ns_solve(cfg, rep, outdir),
-    "simulate": lambda cfg, rep, outdir: run_simulate(cfg, rep, outdir),
-    "action": lambda cfg, rep, outdir: run_action(cfg, rep),
-    "criticality": lambda cfg, rep, outdir: run_criticality(cfg, rep, outdir),
-    "minimality": lambda cfg, rep, outdir: run_minimality(cfg, rep),
-    "bridge": lambda cfg, rep, outdir: run_bridge(cfg, rep),
-    "measure-preservation": lambda cfg, rep, outdir: run_measure_preservation(cfg, rep),
+    "fields-check": run_fields_check,
+    "ns-solve": run_ns_solve,
+    "simulate": run_simulate,
+    "action": run_action,
+    "criticality": run_criticality,
+    "minimality": run_minimality,
+    "bridge": run_bridge,
+    "measure-preservation": run_measure_preservation,
 }
 
 
@@ -595,7 +595,7 @@ def run(config: ExperimentConfig) -> int:
     report = Report(config)
     try:
         RUNNERS[config.experiment](config, report, outdir)
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report.write(outdir)

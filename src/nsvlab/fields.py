@@ -5,6 +5,10 @@ coefficients on the square block |k|_inf <= K.  All spatial averages use the
 normalized Haar measure, i.e. "dx" integrals divide by (2pi)^2.  Evaluation
 along scattered points is exact trigonometric summation over the stored
 modes, never grid interpolation, so operator identities survive to rounding.
+
+Every pointwise evaluation, here and in flows.py, goes through trig_sum and
+trig_gradient over the half-lattice modes that stack_active_modes selects,
+and every grid synthesis goes through to_grid.
 """
 
 from __future__ import annotations
@@ -27,6 +31,66 @@ class SpectralError(ValueError):
 def _wavegrid(K: int) -> tuple[np.ndarray, np.ndarray]:
     ks = np.arange(-K, K + 1, dtype=float)
     return np.meshgrid(ks, ks, indexing="ij")
+
+
+def _half_lattice(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wavenumber grids and the mask of the canonical half-lattice, one
+    representative of each {k, -k} pair.  Indexing with the mask lists the
+    wavevectors by k1, then k2, ascending."""
+    k1, k2 = _wavegrid(K)
+    return k1, k2, (k1 > 0) | ((k1 == 0) & (k2 > 0))
+
+
+def stack_active_modes(coeff_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Half-lattice wavevectors active in any of the given coefficient arrays
+    (scalar or vector), and the per-array coefficients stacked on them."""
+    K = (coeff_list[0].shape[0] - 1) // 2
+    k1, k2, half = _half_lattice(K)
+    active = np.zeros_like(half)
+    for c in coeff_list:
+        active |= np.abs(c).reshape(half.shape + (-1,)).max(axis=-1) > 0
+    active &= half
+    kv = np.stack([k1[active], k2[active]], axis=-1)
+    return kv, np.stack([c[active] for c in coeff_list])
+
+
+def trig_sum(points, kv: np.ndarray, cf: np.ndarray, mean=0.0) -> np.ndarray:
+    """mean + 2 Re(sum_k c_k e^{i k.x}) over half-lattice modes kv (m, 2) with
+    coefficients cf of shape (m,) or (m, 2); values (n,) or (n, 2)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if kv.shape[0] == 0:
+        return np.broadcast_to(mean, pts.shape[:1] + cf.shape[1:]).copy()
+    ph = pts @ kv.T
+    return mean + 2.0 * (
+        np.einsum("nm,m...->n...", np.cos(ph), cf.real)
+        - np.einsum("nm,m...->n...", np.sin(ph), cf.imag)
+    )
+
+
+def trig_gradient(points, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
+    """Spatial derivatives d_b of trig_sum, with b the last axis: (n, 2) or
+    (n, 2, 2), the latter the Jacobian J[n, a, b] = d_b u_a."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if kv.shape[0] == 0:
+        return np.zeros(pts.shape[:1] + cf.shape[1:] + (2,))
+    ph = pts @ kv.T
+    # d_b u = 2 Re(sum_k i k_b c_k e^{i k.x})
+    return -2.0 * (
+        np.einsum("nm,m...,mb->n...b", np.sin(ph), cf.real, kv)
+        + np.einsum("nm,m...,mb->n...b", np.cos(ph), cf.imag, kv)
+    )
+
+
+def to_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Values on the uniform n x n grid of the field with coefficients coeffs
+    (shape (2K+1, 2K+1) or (2K+1, 2K+1, 2)); exact for n >= 2K+1."""
+    K = (coeffs.shape[0] - 1) // 2
+    if n < 2 * K + 1:
+        raise SpectralError("grid too coarse to hold all modes")
+    idx = np.arange(-K, K + 1) % n
+    spec = np.zeros((n, n) + coeffs.shape[2:], dtype=complex)
+    spec[np.ix_(idx, idx)] = coeffs
+    return np.real(np.fft.ifft2(spec, axes=(0, 1))) * n * n
 
 
 def _check_hermitian(coeffs: np.ndarray) -> None:
@@ -81,13 +145,8 @@ class FourierVectorField:
     def _compiled(self):
         """Cache (kvecs, coeffs, mean) over the active half-lattice modes."""
         if self._eval_cache is None:
-            K = self.K
-            k1, k2 = _wavegrid(K)
-            half = (k1 > 0) | ((k1 == 0) & (k2 > 0))
-            active = half & (np.abs(self.coeffs).max(axis=-1) > 0)
-            kv = np.stack([k1[active], k2[active]], axis=-1)
-            cf = self.coeffs[active]
-            object.__setattr__(self, "_eval_cache", (kv, cf, self.mean))
+            kv, cf = stack_active_modes([self.coeffs])
+            object.__setattr__(self, "_eval_cache", (kv, cf[0], self.mean))
         return self._eval_cache
 
     def is_shear(self) -> bool:
@@ -114,34 +173,14 @@ class FourierVectorField:
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Field values at points, shape (n, 2) -> (n, 2)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        kv, cf, mn = self._compiled()
-        if kv.shape[0] == 0:
-            return np.broadcast_to(mn, pts.shape).copy()
-        ph = pts @ kv.T
-        # u = mean + 2 Re(sum_k c_k e^{i k.x}), summed over the half lattice
-        vals = mn + 2.0 * (
-            np.einsum("nm,mc->nc", np.cos(ph), cf.real)
-            - np.einsum("nm,mc->nc", np.sin(ph), cf.imag)
-        )
-        return vals
+        return trig_sum(points, *self._compiled())
 
     def evaluate(self, theta) -> np.ndarray:
         return self.evaluate_at(np.asarray(theta, dtype=float)[None, :])[0]
 
     def gradient_at(self, points: np.ndarray) -> np.ndarray:
         """Jacobians J[n, a, b] = d_b u_a at each point."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        kv, cf, _ = self._compiled()
-        if kv.shape[0] == 0:
-            return np.zeros((pts.shape[0], 2, 2))
-        ph = pts @ kv.T
-        # d_b u_a = 2 Re(sum_k i k_b c_{k,a} e^{i k.x})
-        jac = -2.0 * (
-            np.einsum("nm,ma,mb->nab", np.sin(ph), cf.real, kv)
-            + np.einsum("nm,ma,mb->nab", np.cos(ph), cf.imag, kv)
-        )
-        return jac
+        return trig_gradient(points, *self._compiled()[:2])
 
     def gradient_tensor(self, theta) -> np.ndarray:
         return self.gradient_at(np.asarray(theta, dtype=float)[None, :])[0]
@@ -150,12 +189,7 @@ class FourierVectorField:
 
     def to_grid(self, n: int) -> np.ndarray:
         """Values on the uniform n x n grid (exact for n >= 2K+1)."""
-        if n < 2 * self.K + 1:
-            raise SpectralError("grid too coarse to hold all modes")
-        idx = np.arange(-self.K, self.K + 1) % n
-        spec = np.zeros((n, n, 2), dtype=complex)
-        spec[np.ix_(idx, idx)] = self.coeffs
-        return np.real(np.fft.ifft2(spec, axes=(0, 1))) * n * n
+        return to_grid(self.coeffs, n)
 
     def l2_inner(self, other: "FourierVectorField") -> float:
         """Normalized L^2 pairing int <u, v> dx / (2pi)^2, exact via Parseval."""
@@ -246,32 +280,15 @@ class FourierScalarField:
 
     def _compiled(self):
         if self._eval_cache is None:
-            K = self.K
-            k1, k2 = _wavegrid(K)
-            half = (k1 > 0) | ((k1 == 0) & (k2 > 0))
-            active = half & (np.abs(self.coeffs) > 0)
-            kv = np.stack([k1[active], k2[active]], axis=-1)
-            object.__setattr__(self, "_eval_cache", (kv, self.coeffs[active], self.mean))
+            kv, cf = stack_active_modes([self.coeffs])
+            object.__setattr__(self, "_eval_cache", (kv, cf[0], self.mean))
         return self._eval_cache
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        kv, cf, mn = self._compiled()
-        if kv.shape[0] == 0:
-            return np.full(pts.shape[0], mn)
-        ph = pts @ kv.T
-        return mn + 2.0 * (np.cos(ph) @ cf.real - np.sin(ph) @ cf.imag)
+        return trig_sum(points, *self._compiled())
 
     def gradient_at(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        kv, cf, _ = self._compiled()
-        if kv.shape[0] == 0:
-            return np.zeros((pts.shape[0], 2))
-        ph = pts @ kv.T
-        return -2.0 * (
-            np.einsum("nm,mb->nb", np.sin(ph), kv * cf.real[:, None])
-            + np.einsum("nm,mb->nb", np.cos(ph), kv * cf.imag[:, None])
-        )
+        return trig_gradient(points, *self._compiled()[:2])
 
     def gradient_field(self) -> FourierVectorField:
         k1, k2 = _wavegrid(self.K)
@@ -281,12 +298,7 @@ class FourierScalarField:
         return FourierVectorField(self.K, out)
 
     def to_grid(self, n: int) -> np.ndarray:
-        if n < 2 * self.K + 1:
-            raise SpectralError("grid too coarse to hold all modes")
-        idx = np.arange(-self.K, self.K + 1) % n
-        spec = np.zeros((n, n), dtype=complex)
-        spec[np.ix_(idx, idx)] = self.coeffs
-        return np.real(np.fft.ifft2(spec)) * n * n
+        return to_grid(self.coeffs, n)
 
     def l2_inner(self, other: "FourierScalarField") -> float:
         if other.K != self.K:
@@ -419,12 +431,8 @@ class SpectralBasis:
             raise SpectralError("beta must exceed 1")
         if self.nu <= 0:
             raise SpectralError("nu must be positive")
-        ks = np.arange(-self.K, self.K + 1)
-        k1, k2 = np.meshgrid(ks, ks, indexing="ij")
-        half = (k1 > 0) | ((k1 == 0) & (k2 > 0))
-        kv = np.stack([k1[half], k2[half]], axis=-1).astype(float)
-        order = np.lexsort((kv[:, 1], kv[:, 0]))
-        self.kvecs = kv[order]
+        k1, k2, half = _half_lattice(self.K)
+        self.kvecs = np.stack([k1[half], k2[half]], axis=-1)
         self.kperp = np.stack([self.kvecs[:, 1], -self.kvecs[:, 0]], axis=-1)
         kn = np.linalg.norm(self.kvecs, axis=1)
         self.nu0 = float(np.sum(kn**2 / (2.0 * kn ** (2.0 * self.beta))))

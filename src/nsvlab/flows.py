@@ -24,6 +24,10 @@ from .fields import (
     SpectralError,
     _wavegrid,
     leray_project,
+    stack_active_modes,
+    to_grid,
+    trig_gradient,
+    trig_sum,
     vector_laplacian,
 )
 
@@ -41,20 +45,13 @@ def advection_field(u: FourierVectorField) -> FourierVectorField:
     n = _dealias_grid_size(u.K)
     U = u.to_grid(n)
     k1, k2 = _wavegrid(u.K)
-    idx = np.arange(-u.K, u.K + 1) % n
-    # spectral derivatives of each component on the padded grid
-    spec = np.zeros((n, n, 2), dtype=complex)
-    spec[np.ix_(idx, idx)] = u.coeffs
-    kk1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]
-    kk2 = np.fft.fftfreq(n, d=1.0 / n)[None, :]
-    adv = np.empty_like(U)
-    for a in range(2):
-        da1 = np.real(np.fft.ifft2(1j * kk1 * spec[..., a])) * n * n
-        da2 = np.real(np.fft.ifft2(1j * kk2 * spec[..., a])) * n * n
-        adv[..., a] = U[..., 0] * da1 + U[..., 1] * da2
+    # spectral derivatives d_1 u and d_2 u on the padded grid
+    D1 = to_grid(1j * k1[..., None] * u.coeffs, n)
+    D2 = to_grid(1j * k2[..., None] * u.coeffs, n)
+    adv = U[..., :1] * D1 + U[..., 1:] * D2
     ahat = np.fft.fft2(adv, axes=(0, 1)) / (n * n)
-    out = ahat[np.ix_(idx, idx)]
-    return FourierVectorField(u.K, out)
+    idx = np.arange(-u.K, u.K + 1) % n
+    return FourierVectorField(u.K, ahat[np.ix_(idx, idx)])
 
 
 def ns_rhs(u: FourierVectorField, nu: float) -> FourierVectorField:
@@ -90,36 +87,12 @@ def pressure_from_velocity(u: FourierVectorField) -> FourierScalarField:
 
 def hessian_bound(p: FourierScalarField, n: int = 128) -> float:
     """Largest eigenvalue of grad^2 p over an n x n grid (lower bound of sup)."""
-    K = p.K
-    if n < 2 * K + 1:
-        raise SpectralError("grid too coarse for the stored modes")
-    k1, k2 = _wavegrid(K)
-    idx = np.arange(-K, K + 1) % n
-
-    def grid_of(mult):
-        spec = np.zeros((n, n), dtype=complex)
-        spec[np.ix_(idx, idx)] = mult * p.coeffs
-        return np.real(np.fft.ifft2(spec)) * n * n
-
-    h11 = grid_of(-k1 * k1)
-    h22 = grid_of(-k2 * k2)
-    h12 = grid_of(-k1 * k2)
+    k1, k2 = _wavegrid(p.K)
+    h11 = to_grid(-k1 * k1 * p.coeffs, n)
+    h22 = to_grid(-k2 * k2 * p.coeffs, n)
+    h12 = to_grid(-k1 * k2 * p.coeffs, n)
     lam = 0.5 * (h11 + h22) + np.sqrt(0.25 * (h11 - h22) ** 2 + h12**2)
     return float(np.max(lam))
-
-
-def _stack_active_modes(coeff_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Half-lattice wavevectors active in any of the given coefficient arrays
-    (scalar or vector), and the per-array coefficients stacked on them."""
-    K = (coeff_list[0].shape[0] - 1) // 2
-    k1, k2 = _wavegrid(K)
-    half = (k1 > 0) | ((k1 == 0) & (k2 > 0))
-    active = np.zeros_like(half)
-    for c in coeff_list:
-        active |= np.abs(c).reshape(half.shape + (-1,)).max(axis=-1) > 0
-    active &= half
-    kv = np.stack([k1[active], k2[active]], axis=-1)
-    return kv, np.stack([c[active] for c in coeff_list])
 
 
 @dataclass
@@ -147,6 +120,8 @@ class TimeDependentVelocity:
         steps = np.diff(self.times)
         if steps.size and np.max(np.abs(steps - steps[0])) > UNIFORM_TOL:
             raise SpectralError("time grid must be uniform")
+        if len(self.pressures) not in (0, len(self.frames)):
+            raise SpectralError("pressure frames must be absent or one per grid time")
         for p in self.pressures:
             if abs(p.mean) > UNIFORM_TOL:
                 raise SpectralError("pressure frames must have zero mean")
@@ -171,14 +146,14 @@ class TimeDependentVelocity:
     def _compile(self):
         """Stack active half-lattice modes shared by all frames."""
         if self._compiled is None:
-            kv, stack = _stack_active_modes([f.coeffs for f in self.frames])
+            kv, stack = stack_active_modes([f.coeffs for f in self.frames])
             means = np.stack([f.mean for f in self.frames])
             self._compiled = (kv, stack, means)
         return self._compiled
 
     def _compile_pressure(self):
         if self._pressure_compiled is None:
-            self._pressure_compiled = _stack_active_modes([p.coeffs for p in self.pressures])
+            self._pressure_compiled = stack_active_modes([p.coeffs for p in self.pressures])
         return self._pressure_compiled
 
     def _interp(self, s: float, compiled=None) -> tuple:
@@ -198,55 +173,25 @@ class TimeDependentVelocity:
         return (kv, *((1.0 - w) * st[j] + w * st[j + 1] for st in stacks))
 
     def velocity_at(self, s: float, points: np.ndarray) -> np.ndarray:
-        kv, cf, mn = self._interp(s)
-        if kv.shape[0] == 0:
-            return np.broadcast_to(mn, (points.shape[0], 2)).copy()
-        ph = points @ kv.T
-        return mn + 2.0 * (
-            np.einsum("nm,mc->nc", np.cos(ph), cf.real)
-            - np.einsum("nm,mc->nc", np.sin(ph), cf.imag)
-        )
+        return trig_sum(points, *self._interp(s))
 
     def velocity_gradient_at(self, s: float, points: np.ndarray) -> np.ndarray:
-        kv, cf, _ = self._interp(s)
-        if kv.shape[0] == 0:
-            return np.zeros((points.shape[0], 2, 2))
-        ph = points @ kv.T
-        return -2.0 * (
-            np.einsum("nm,ma,mb->nab", np.sin(ph), cf.real, kv)
-            + np.einsum("nm,ma,mb->nab", np.cos(ph), cf.imag, kv)
-        )
+        return trig_gradient(points, *self._interp(s)[:2])
 
     def pressure_at(self, s: float, points: np.ndarray) -> np.ndarray:
         if not self.pressures:
             return np.zeros(points.shape[0])
-        kv, cf = self._interp(s, self._compile_pressure())
-        if kv.shape[0] == 0:
-            return np.zeros(points.shape[0])
-        ph = points @ kv.T
-        return 2.0 * (np.cos(ph) @ cf.real - np.sin(ph) @ cf.imag)
+        return trig_sum(points, *self._interp(s, self._compile_pressure()))
 
     def pressure_gradient_at(self, s: float, points: np.ndarray) -> np.ndarray:
         if not self.pressures:
             return np.zeros((points.shape[0], 2))
-        kv, cf = self._interp(s, self._compile_pressure())
-        if kv.shape[0] == 0:
-            return np.zeros((points.shape[0], 2))
-        ph = points @ kv.T
-        return -2.0 * (
-            np.einsum("nm,mb->nb", np.sin(ph), kv * cf.real[:, None])
-            + np.einsum("nm,mb->nb", np.cos(ph), kv * cf.imag[:, None])
-        )
+        return trig_gradient(points, *self._interp(s, self._compile_pressure()))
 
     def frame_grid_stack(self, n: int) -> np.ndarray:
         """Grid values of every frame, cached per grid size."""
         if n not in self._grid_cache:
-            K = self.K
-            idx = np.arange(-K, K + 1) % n
-            spec = np.zeros((len(self.frames), n, n, 2), dtype=complex)
-            coeffs = np.stack([f.coeffs for f in self.frames])
-            spec[:, idx[:, None], idx[None, :], :] = coeffs
-            self._grid_cache[n] = np.real(np.fft.ifft2(spec, axes=(1, 2))) * n * n
+            self._grid_cache[n] = np.stack([f.to_grid(n) for f in self.frames])
         return self._grid_cache[n]
 
     # -- persistence ----------------------------------------------------------
@@ -290,6 +235,9 @@ class TimeDependentVelocity:
         base = os.path.dirname(manifest_path)
         with open(manifest_path) as fh:
             manifest = json.load(fh)
+        for key in ("nu", "times", "frames", "pressures"):
+            if not isinstance(manifest, dict) or key not in manifest:
+                raise ValueError(f"flow manifest {manifest_path} has no '{key}' entry")
         frames = []
         for fn in manifest["frames"]:
             with open(os.path.join(base, fn)) as fh:

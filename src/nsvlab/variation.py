@@ -55,19 +55,13 @@ def flow_points(w: FourierVectorField, tau, points: np.ndarray, n_steps: int = 4
 def flow_psi(pair: TestPair, eps: float, t, points: np.ndarray, n_steps: int = 4) -> np.ndarray:
     """Frozen-time perturbation: integrate alpha(t) w for parameter length eps.
 
-    Equivalently the flow of w for time eps * alpha(t).
+    Equivalently the flow of w for time eps * alpha(t).  For an autonomous
+    test field this coincides with the moving-time perturbation
+    dPhi/dt = eps alpha'(t) w(Phi), Phi_0 = id: integrating eps alpha'(s) w
+    along s in [0, t] is the flow of w for time eps alpha(t).
     """
     tau = eps * pair.alpha(np.asarray(t, dtype=float))
     return flow_points(pair.w, tau, points, n_steps)
-
-
-def flow_phi(pair: TestPair, eps: float, t, points: np.ndarray, n_steps: int = 4) -> np.ndarray:
-    """Moving-time perturbation dPhi/dt = eps alpha'(t) w(Phi), from Phi_0 = id.
-
-    For an autonomous test field this coincides with flow_psi: integrating
-    eps alpha'(s) w along s in [0, t] is the flow of w for time eps alpha(t).
-    """
-    return flow_psi(pair, eps, t, points, n_steps)
 
 
 # -- finite-difference first variation ------------------------------------------

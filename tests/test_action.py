@@ -111,17 +111,6 @@ class TestOccupation:
         assert np.isscalar(t) or t.shape == ()
         assert x.shape == (2,) and v.shape == (2,)
 
-    def test_binary_stream_round_trip(self, tg_forward, tmp_path):
-        from nsvlab.action import load_samples, save_samples
-
-        samples = occupation_measure(tg_forward, thin=100)
-        path = save_samples(samples, str(tmp_path / "occ.bin"))
-        back = load_samples(path)
-        np.testing.assert_array_equal(back.t, samples.t)
-        np.testing.assert_array_equal(back.x, samples.x)
-        np.testing.assert_array_equal(back.v, samples.v)
-        assert (back.n_paths, back.n_times) == (samples.n_paths, samples.n_times)
-
 
 class TestDpmResidual:
     def test_zero_drift_gives_exact_zero(self, bank):

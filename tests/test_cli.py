@@ -194,6 +194,23 @@ class TestMainEntry:
     def test_missing_config_file_exit_one(self):
         assert main(["action", "--config", "/nonexistent.json"]) == 1
 
+    def test_missing_spectral_file_exit_one_with_one_line(self, tmp_path, capsys):
+        manifest = tmp_path / "absent" / "m.json"
+        argv = ["simulate", "--drift", f"spectral-file:{manifest}", "--N", "10", "--M", "10", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "m.json" in err[0]
+        assert not (tmp_path / "report.json").exists()
+
+    def test_manifest_without_frames_exit_one_with_one_line(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"nu": 0.1, "times": [0.0, 1.0], "pressures": []}))
+        argv = ["simulate", "--drift", f"spectral-file:{manifest}", "--N", "10", "--M", "10", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'frames'" in err[0]
+        assert not (tmp_path / "report.json").exists()
+
     def test_cli_subprocess_round_trip(self, tmp_path):
         out = tmp_path / "o"
         proc = subprocess.run(

@@ -17,6 +17,10 @@ from nsvlab.fields import (
     hodge_laplacian,
     leray_project,
     random_divergence_free,
+    stack_active_modes,
+    to_grid,
+    trig_gradient,
+    trig_sum,
     vector_laplacian,
 )
 
@@ -88,6 +92,9 @@ class TestBasisField:
         assert len(seen) == len(full) // 2
         for k in seen:
             assert (-k[0], -k[1]) not in seen
+        # the Stratonovich noise channels are indexed in this order
+        order = np.lexsort((basis.kvecs[:, 1], basis.kvecs[:, 0]))
+        np.testing.assert_array_equal(order, np.arange(basis.n_modes))
 
 
 class TestFrameIdentity:
@@ -248,6 +255,105 @@ class TestEvaluation:
         quad = float(np.mean(np.sum(grid**2, axis=-1)))
         spectral = f.l2_inner(f)
         assert abs(quad - spectral) <= 1e-10 * max(spectral, 1.0)
+
+
+# -- the evaluation kernel against the full-lattice Fourier sum ------------------
+
+
+def random_hermitian(K, vector, seed, keep):
+    """Hermitian coefficients on |k|_inf <= K, each {k, -k} pair kept with
+    probability keep (the mean always), scalar or vector valued."""
+    rng = np.random.default_rng(seed)
+    n = 2 * K + 1
+    shape = (n, n, 2) if vector else (n, n)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mask = rng.uniform(size=(n, n)) < keep
+    mask = mask & mask[::-1, ::-1]
+    mask[K, K] = True
+    z = np.where(mask.reshape(mask.shape + (1,) * (len(shape) - 2)), z, 0.0)
+    return 0.5 * (z + np.conj(z[::-1, ::-1]))
+
+
+def full_lattice_sum(coeffs, pts, derivative=False):
+    """sum_k c_k e^{ik.x} (or i k c_k e^{ik.x}) over every stored mode, real part."""
+    K = (coeffs.shape[0] - 1) // 2
+    ks = np.arange(-K, K + 1, dtype=float)
+    E = np.exp(1j * (pts[:, 0, None, None] * ks[:, None] + pts[:, 1, None, None] * ks[None, :]))
+    if not derivative:
+        return np.einsum("nij,ij...->n...", E, coeffs).real
+    kgrid = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1)
+    return np.einsum("nij,ij...,ijb->n...b", E, coeffs, 1j * kgrid).real
+
+
+def kernel_args(coeffs):
+    K = (coeffs.shape[0] - 1) // 2
+    kv, cf = stack_active_modes([coeffs])
+    return kv, cf[0], coeffs[K, K].real
+
+
+kernel_cases = dict(
+    K=st.integers(0, 4),
+    vector=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    keep=st.sampled_from([0.0, 0.3, 1.0]),
+)
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(**kernel_cases)
+    def test_trig_sum_matches_full_lattice(self, K, vector, seed, keep):
+        coeffs = random_hermitian(K, vector, seed, keep)
+        # points well outside [0, 2pi) too: the sum is periodic
+        pts = np.random.default_rng(seed + 1).uniform(-3 * TWO_PI, 4 * TWO_PI, (40, 2))
+        scale = max(np.sum(np.abs(coeffs)), 1.0)
+        got = trig_sum(pts, *kernel_args(coeffs))
+        assert got.shape == ((40, 2) if vector else (40,))
+        np.testing.assert_allclose(got, full_lattice_sum(coeffs, pts), rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**kernel_cases)
+    def test_trig_gradient_matches_full_lattice(self, K, vector, seed, keep):
+        coeffs = random_hermitian(K, vector, seed, keep)
+        pts = np.random.default_rng(seed + 1).uniform(-3 * TWO_PI, 4 * TWO_PI, (40, 2))
+        scale = max(np.sum(np.abs(coeffs)) * K, 1.0)
+        kv, cf, _ = kernel_args(coeffs)
+        got = trig_gradient(pts, kv, cf)
+        assert got.shape == ((40, 2, 2) if vector else (40, 2))
+        want = full_lattice_sum(coeffs, pts, derivative=True)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(extra=st.integers(0, 5), **kernel_cases)
+    def test_to_grid_matches_trig_sum_at_grid_points(self, extra, K, vector, seed, keep):
+        coeffs = random_hermitian(K, vector, seed, keep)
+        n = 2 * K + 1 + extra
+        xs = TWO_PI * np.arange(n) / n
+        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+        grid = to_grid(coeffs, n)
+        assert grid.shape == (n, n) + coeffs.shape[2:]
+        scale = max(np.sum(np.abs(coeffs)), 1.0)
+        want = trig_sum(pts, *kernel_args(coeffs))
+        np.testing.assert_allclose(grid.reshape(want.shape), want, rtol=0, atol=1e-12 * scale)
+
+    def test_to_grid_rejects_coarse_grid(self):
+        with pytest.raises(SpectralError):
+            to_grid(np.zeros((5, 5), complex), 4)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_no_active_modes_gives_mean_and_zero_gradient(self, vector):
+        coeffs = random_hermitian(3, vector, seed=4, keep=0.0)
+        kv, cf, mean = kernel_args(coeffs)
+        assert kv.shape == (0, 2)
+        pts = np.random.default_rng(5).uniform(-TWO_PI, 2 * TWO_PI, (7, 2))
+        vals = trig_sum(pts, kv, cf, mean)
+        grads = trig_gradient(pts, kv, cf)
+        if vector:
+            assert vals.shape == (7, 2) and grads.shape == (7, 2, 2)
+        else:
+            assert vals.shape == (7,) and grads.shape == (7, 2)
+        np.testing.assert_array_equal(vals, np.broadcast_to(mean, vals.shape))
+        np.testing.assert_array_equal(grads, 0.0)
 
 
 # -- structure and serialization -------------------------------------------------

@@ -170,6 +170,12 @@ class TestTimeDependentVelocity:
         with pytest.raises(SpectralError):
             TimeDependentVelocity(bad_times, tg.frames, tg.pressures, NU)
 
+    def test_pressure_frames_must_match_velocity_frames(self):
+        tg = taylor_green(NU, 1.0, 4)
+        with pytest.raises(SpectralError):
+            TimeDependentVelocity(tg.times, tg.frames, tg.pressures[:3], NU)
+        TimeDependentVelocity(tg.times, tg.frames, [], NU)
+
     def test_linear_interpolation_between_frames(self):
         tg = taylor_green(NU, 1.0, 10)
         pts = np.array([[0.3, 1.2]])

@@ -11,7 +11,6 @@ from nsvlab.sde import FORWARD, REVERSED, SdeParams, simulate_ito
 from nsvlab.variation import (
     PinnedPerturbation,
     first_variation_fd,
-    flow_phi,
     flow_points,
     flow_psi,
     mean_acceleration_check,
@@ -70,12 +69,6 @@ class TestPerturbationFlows:
         eps, t = 0.3, 0.6
         want = pts + eps * np.sin(np.pi * t / T) * np.array([0.7, -0.2])
         np.testing.assert_allclose(flow_psi(pair, eps, t, pts), want, atol=1e-12)
-
-    def test_phi_and_psi_coincide_for_autonomous_field(self, bank):
-        pts = np.random.default_rng(1).uniform(0, 2 * np.pi, (40, 2))
-        a = flow_psi(bank[2], 0.25, 0.37, pts)
-        b = flow_phi(bank[2], 0.25, 0.37, pts)
-        np.testing.assert_array_equal(a, b)
 
     def test_volume_preservation_jacobian(self, bank):
         xs = np.linspace(0, 2 * np.pi, 32, endpoint=False)
