@@ -96,11 +96,25 @@ def occupation_measure(ens: PathEnsemble, thin: int = 1) -> OccupationSet:
     return OccupationSet(t, x, v, ens.n_paths, idx.size)
 
 
+def action_per_path(drift: np.ndarray, dt: float) -> np.ndarray:
+    """Per-path kinetic action 0.5 int |drift|^2 dt (trapezoid) of (N, M+1, dim) drifts.
+
+    einsum forms |drift|^2 without a drift**2 temporary: callers pass freshly
+    built drifts that stay alive for the whole call.
+    """
+    return 0.5 * np.trapezoid(np.einsum("nja,nja->nj", drift, drift), dx=dt, axis=1)
+
+
+def running_integral(y: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoid integral along axis 1 of y, zero at the first grid time."""
+    out = np.zeros_like(y)
+    np.cumsum(0.5 * (y[:, :-1] + y[:, 1:]) * dt, axis=1, out=out[:, 1:])
+    return out
+
+
 def action(ens: PathEnsemble) -> EstimateWithError:
     """Kinetic action: half the mean over paths of int |drift|^2 dt (trapezoid)."""
-    speed2 = np.sum(ens.drift**2, axis=2)
-    per_path = 0.5 * np.trapezoid(speed2, dx=ens.dt, axis=1)
-    return EstimateWithError.from_samples(per_path)
+    return EstimateWithError.from_samples(action_per_path(ens.drift, ens.dt))
 
 
 def action_prefixes(ens: PathEnsemble, step_indices) -> list[EstimateWithError]:
@@ -109,23 +123,17 @@ def action_prefixes(ens: PathEnsemble, step_indices) -> list[EstimateWithError]:
     Shares one ensemble across nested horizons, which is what makes the
     pinned-bridge divergence increments comparable at small variance.
     """
-    speed2 = np.sum(ens.drift**2, axis=2)
-    seg = 0.5 * 0.5 * (speed2[:, :-1] + speed2[:, 1:]) * ens.dt
-    cum = np.concatenate([np.zeros((ens.n_paths, 1)), np.cumsum(seg, axis=1)], axis=1)
+    cum = 0.5 * running_integral(np.sum(ens.drift**2, axis=2), ens.dt)
     return [EstimateWithError.from_samples(cum[:, int(j)]) for j in step_indices]
 
 
-def _pair_integrand(samples: OccupationSet, pair: TestPair, nu: float) -> np.ndarray:
-    w_vals = pair.w.evaluate_at(samples.x)
-    grad_w = pair.w.gradient_at(samples.x)
-    box_w = deformation_laplacian(pair.w).evaluate_at(samples.x)
-    a = pair.alpha(samples.t)
-    da = pair.dalpha(samples.t)
-    v = samples.v
-    term_dt = da * np.sum(v * w_vals, axis=1)
-    term_adv = a * np.einsum("na,nab,nb->n", v, grad_w, v)
-    term_visc = nu * a * np.sum(v * box_w, axis=1)
-    return term_dt + term_adv - term_visc
+def _weak_integrand(pair: TestPair, nu: float, t, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """alpha'(t) w(x).v + alpha(t) (grad_v w)(x).v - nu alpha(t) (2 Def*Def w)(x).v per sample."""
+    return (
+        pair.dalpha(t) * np.sum(v * pair.w.evaluate_at(x), axis=1)
+        + pair.alpha(t) * np.einsum("na,nab,nb->n", v, pair.w.gradient_at(x), v)
+        - nu * pair.alpha(t) * np.sum(v * deformation_laplacian(pair.w).evaluate_at(x), axis=1)
+    )
 
 
 def dpm_residual(samples: OccupationSet, pair: TestPair, nu: float) -> EstimateWithError:
@@ -141,7 +149,8 @@ def dpm_residual(samples: OccupationSet, pair: TestPair, nu: float) -> EstimateW
     """
     if samples.n_times < 2:
         raise ValueError("need at least two sampled times per path")
-    vals = _pair_integrand(samples, pair, nu).reshape(samples.n_paths, samples.n_times)
+    vals = _weak_integrand(pair, nu, samples.t, samples.x, samples.v)
+    vals = vals.reshape(samples.n_paths, samples.n_times)
     span = samples.t[samples.n_times - 1] - samples.t[0]
     per_path = np.trapezoid(vals, dx=span / (samples.n_times - 1), axis=1) * pair.T / span
     return EstimateWithError.from_samples(per_path)
@@ -150,23 +159,13 @@ def dpm_residual(samples: OccupationSet, pair: TestPair, nu: float) -> EstimateW
 def first_variation_direct(ens: PathEnsemble, pair: TestPair, nu: float) -> EstimateWithError:
     """Analytic Gateaux derivative of the action along one test pair.
 
-    Per path, the trapezoidal time integral of
-
-        alpha'(t) w(g_t).D_t g + alpha(t) (grad_{D_t g} w)(g_t).D_t g
-        - nu alpha(t) (2 Def*Def w)(g_t).D_t g
+    Per path, the trapezoidal time integral of the weak-form integrand at
+    (t, g_t, D_t g) (see _weak_integrand).
     """
     pts = ens.unwrapped.reshape(-1, ens.dim)
-    w_vals = pair.w.evaluate_at(pts)
-    grad_w = pair.w.gradient_at(pts)
-    box_w = deformation_laplacian(pair.w).evaluate_at(pts)
     v = ens.drift.reshape(-1, ens.dim)
     t = np.tile(ens.times, ens.n_paths)
-    shape = (ens.n_paths, ens.n_steps + 1)
-    integrand = (
-        pair.dalpha(t) * np.sum(v * w_vals, axis=1)
-        + pair.alpha(t) * np.einsum("na,nab,nb->n", v, grad_w, v)
-        - nu * pair.alpha(t) * np.sum(v * box_w, axis=1)
-    ).reshape(shape)
+    integrand = _weak_integrand(pair, nu, t, pts, v).reshape(ens.n_paths, ens.n_steps + 1)
     per_path = np.trapezoid(integrand, dx=ens.dt, axis=1)
     return EstimateWithError.from_samples(per_path)
 

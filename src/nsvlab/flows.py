@@ -138,9 +138,6 @@ class TimeDependentVelocity:
     def K(self) -> int:
         return self.frames[0].K
 
-    def check_divergence_free(self, tol: float = 1e-10) -> bool:
-        return all(f.is_divergence_free(tol) for f in self.frames)
-
     # -- compact views for fast path evaluation ------------------------------
 
     def _compile(self):
@@ -238,20 +235,28 @@ class TimeDependentVelocity:
         for key in ("nu", "times", "frames", "pressures"):
             if not isinstance(manifest, dict) or key not in manifest:
                 raise ValueError(f"flow manifest {manifest_path} has no '{key}' entry")
-        frames = []
-        for fn in manifest["frames"]:
-            with open(os.path.join(base, fn)) as fh:
-                frames.append(FourierVectorField.from_json(fh.read()))
-        pressures = []
-        for fn in manifest["pressures"]:
-            with open(os.path.join(base, fn)) as fh:
-                doc = json.load(fh)
-            K = int(doc["K"])
-            coeffs = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-            for m in doc["modes"]:
-                coeffs[m["k"][0] + K, m["k"][1] + K] = m["re"] + 1j * m["im"]
-            pressures.append(FourierScalarField(K, coeffs))
+
+        def read(fn: str, parse):
+            path = os.path.join(base, fn)
+            with open(path) as fh:
+                text = fh.read()
+            try:
+                return parse(text)
+            except (KeyError, TypeError, IndexError, ValueError) as exc:
+                raise ValueError(f"malformed flow file {path}: {exc!r}") from None
+
+        frames = [read(fn, FourierVectorField.from_json) for fn in manifest["frames"]]
+        pressures = [read(fn, _pressure_from_json) for fn in manifest["pressures"]]
         return cls(np.asarray(manifest["times"]), frames, pressures, float(manifest["nu"]))
+
+
+def _pressure_from_json(text: str) -> FourierScalarField:
+    doc = json.loads(text)
+    K = int(doc["K"])
+    coeffs = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+    for m in doc["modes"]:
+        coeffs[m["k"][0] + K, m["k"][1] + K] = m["re"] + 1j * m["im"]
+    return FourierScalarField(K, coeffs)
 
 
 # -- canonical exact solution -------------------------------------------------

@@ -7,6 +7,10 @@ bridge with its singular drift.  Every ensemble records the exact drift
 inserted at each grid time together with the Brownian increments, so all
 action and residual estimators downstream are pure folds over stored data.
 
+_draw_noise makes every random draw and _march is the one record-then-step
+loop; each engine only supplies its drift and step, and resimulation runs
+the Ito step again on stored increments.
+
 Randomness is counter-based: path n draws from Philox keyed by the master
 seed with the fourth counter word set to n.  Streams are therefore
 independent of scheduling and worker count, and identical (seed, N, M,
@@ -108,7 +112,10 @@ class PathEnsemble:
         return np.mod(self.unwrapped, TWO_PI)
 
     def step_index(self, t: float) -> int:
+        """Index of grid time t; off-grid times (by more than 1e-9 steps) are rejected."""
         j = int(round(t / self.dt))
+        if abs(t / self.dt - j) > 1e-9:
+            raise ValueError(f"time {t} is not on the grid of step dt={self.dt}")
         if not 0 <= j <= self.n_steps:
             raise ValueError(f"time {t} outside the simulated horizon")
         return j
@@ -151,9 +158,32 @@ def _draw_noise(
     return starts, dW
 
 
-def _check_finite(pos: np.ndarray, step: int) -> None:
-    if not np.all(np.isfinite(pos)):
-        raise FloatingPointError(f"non-finite state at step {step}")
+def _march(pos: np.ndarray, M: int, dt: float, drift_at, step) -> tuple[np.ndarray, np.ndarray]:
+    """Store pos and drift_at(t_j, pos) at each grid time t_j, then advance by
+    step(j, pos, drift) while j < M; returns (N, M+1, dim) positions and drifts."""
+    N, dim = pos.shape
+    unwrapped = np.empty((N, M + 1, dim))
+    drift = np.empty((N, M + 1, dim))
+    for j in range(M + 1):
+        unwrapped[:, j] = pos
+        drift[:, j] = drift_at(j * dt, pos)
+        if j < M:
+            pos = step(j, pos, drift[:, j])
+            if not np.all(np.isfinite(pos)):
+                raise FloatingPointError(f"non-finite state at step {j + 1}")
+    return unwrapped, drift
+
+
+def _ito_march(params: SdeParams, starts: np.ndarray, dW: np.ndarray, dt: float):
+    """Euler-Maruyama x + drift dt + sqrt(2 nu) dW, marched over the steps of dW."""
+    sig = np.sqrt(2.0 * params.nu)
+    sign = params.drift_sign()
+    src = params.drift_source
+
+    def drift_at(t: float, x: np.ndarray):
+        return 0.0 if src is None else sign * src.velocity_at(params.drift_time(t), x)
+
+    return _march(starts, dW.shape[1], dt, drift_at, lambda j, x, d: x + d * dt + sig * dW[:, j])
 
 
 def simulate_ito(
@@ -161,25 +191,8 @@ def simulate_ito(
 ) -> PathEnsemble:
     """Euler-Maruyama for dg = drift(t, g) dt + sqrt(2 nu) dw on the torus."""
     dt = params.T / M
-    dim = 2
-    starts, dW = _draw_noise(seed, N, M, dim, dt, params.initial_law, dim, antithetic)
-    sig = np.sqrt(2.0 * params.nu)
-    sign = params.drift_sign()
-    src = params.drift_source
-
-    pos = starts.copy()
-    unwrapped = np.empty((N, M + 1, dim))
-    drift = np.empty((N, M + 1, dim))
-    for j in range(M + 1):
-        t = j * dt
-        unwrapped[:, j] = pos
-        if src is None:
-            drift[:, j] = 0.0
-        else:
-            drift[:, j] = sign * src.velocity_at(params.drift_time(t), pos)
-        if j < M:
-            pos = pos + drift[:, j] * dt + sig * dW[:, j]
-            _check_finite(pos, j + 1)
+    starts, dW = _draw_noise(seed, N, M, 2, dt, params.initial_law, 2, antithetic)
+    unwrapped, drift = _ito_march(params, starts, dW, dt)
     return PathEnsemble(
         kind="ito",
         nu=params.nu,
@@ -206,33 +219,23 @@ def simulate_stratonovich_basis(
     if basis.nu != params.nu:
         raise ValueError("basis diffusivity must match params.nu")
     dt = params.T / M
-    dim = 2
     m = basis.n_modes
-    starts, dW = _draw_noise(seed, N, M, 2 * m, dt, params.initial_law, dim)
+    starts, dW = _draw_noise(seed, N, M, 2 * m, dt, params.initial_law, 2)
     src = params.drift_source
     sqrt2 = np.sqrt(2.0)
 
     def transport(t: float, x: np.ndarray) -> np.ndarray:
-        if src is None:
-            return np.zeros_like(x)
-        return src.velocity_at(t, x)
+        return np.zeros_like(x) if src is None else src.velocity_at(t, x)
 
-    pos = starts.copy()
-    unwrapped = np.empty((N, M + 1, dim))
-    drift = np.empty((N, M + 1, dim))
-    for j in range(M + 1):
-        t = j * dt
-        unwrapped[:, j] = pos
-        uj = transport(t, pos)
-        drift[:, j] = uj
-        if j < M:
-            dwc, dws = dW[:, j, :m], dW[:, j, m:]
-            disp0 = sqrt2 * basis.noise_displacement(pos, dwc, dws)
-            pred = pos + disp0 + uj * dt
-            disp1 = sqrt2 * basis.noise_displacement(pred, dwc, dws)
-            u1 = transport(t + dt, pred)
-            pos = pos + 0.5 * (disp0 + disp1) + 0.5 * (uj + u1) * dt
-            _check_finite(pos, j + 1)
+    def heun(j: int, pos: np.ndarray, uj: np.ndarray) -> np.ndarray:
+        dwc, dws = dW[:, j, :m], dW[:, j, m:]
+        disp0 = sqrt2 * basis.noise_displacement(pos, dwc, dws)
+        pred = pos + disp0 + uj * dt
+        disp1 = sqrt2 * basis.noise_displacement(pred, dwc, dws)
+        u1 = transport(j * dt + dt, pred)
+        return pos + 0.5 * (disp0 + disp1) + 0.5 * (uj + u1) * dt
+
+    unwrapped, drift = _march(starts, M, dt, transport, heun)
     return PathEnsemble(
         kind="stratonovich_basis",
         nu=params.nu,
@@ -253,22 +256,8 @@ def resimulate_from_noise(ens: PathEnsemble, params: SdeParams, j_max: int | Non
     """
     if ens.kind != "ito":
         raise ValueError("resimulation is defined for the ito engine")
-    M = ens.n_steps if j_max is None else j_max
-    dt = ens.dt
-    sig = np.sqrt(2.0 * ens.nu)
-    sign = params.drift_sign()
-    src = params.drift_source
-    pos = ens.unwrapped[:, 0].copy()
-    out = np.empty((ens.n_paths, M + 1, ens.dim))
-    for j in range(M + 1):
-        out[:, j] = pos
-        if j < M:
-            if src is None:
-                d = 0.0
-            else:
-                d = sign * src.velocity_at(params.drift_time(j * dt), pos)
-            pos = pos + d * dt + sig * ens.dW[:, j]
-    return out
+    unwrapped, _ = _ito_march(params, ens.unwrapped[:, 0], ens.dW[:, :j_max], ens.dt)
+    return unwrapped
 
 
 def brownian_bridge(
@@ -279,20 +268,10 @@ def brownian_bridge(
         raise ValueError("cutoff must be positive")
     T = 1.0 - cutoff
     dt = T / M
-    dW = np.empty((N, M, 1))
-    root = np.sqrt(dt)
-    for n in range(N):
-        dW[n] = path_rng(seed, n).standard_normal((M, 1)) * root
-    pos = np.full((N, 1), float(x))
-    unwrapped = np.empty((N, M + 1, 1))
-    drift = np.empty((N, M + 1, 1))
-    for j in range(M + 1):
-        t = j * dt
-        unwrapped[:, j] = pos
-        drift[:, j] = -(pos - y) / (1.0 - t)
-        if j < M:
-            pos = pos + drift[:, j] * dt + dW[:, j]
-            _check_finite(pos, j + 1)
+    starts, dW = _draw_noise(seed, N, M, 1, dt, ("fixed", [x]), 1)
+    unwrapped, drift = _march(
+        starts, M, dt, lambda t, g: -(g - y) / (1.0 - t), lambda j, g, d: g + d * dt + dW[:, j]
+    )
     return PathEnsemble(
         kind="bridge",
         nu=None,
@@ -323,17 +302,15 @@ def measure_density(
     inputs make every exponent identically zero, hence K = 1 exactly.
     """
     N, Mp1, _ = ens.unwrapped.shape
-    M = Mp1 - 1
-    exponent = np.zeros((N, Mp1))
     pos = ens.unwrapped
-    for i, div_i in enumerate(noise_divergences):
-        vals = np.stack([div_i(pos[:, j]) for j in range(Mp1)], axis=1)  # (N, M+1)
-        mid = 0.5 * (vals[:, :-1] + vals[:, 1:])
-        exponent[:, 1:] += np.cumsum(mid * ens.dW[:, :, i], axis=1)
+    terms = [(div, ens.dW[:, :, i]) for i, div in enumerate(noise_divergences)]
     if drift_divergence is not None:
-        vals = np.stack([drift_divergence(pos[:, j]) for j in range(Mp1)], axis=1)
+        terms.append((drift_divergence, ens.dt))
+    exponent = np.zeros((N, Mp1))
+    for div, increment in terms:
+        vals = np.stack([div(pos[:, j]) for j in range(Mp1)], axis=1)  # (N, M+1)
         mid = 0.5 * (vals[:, :-1] + vals[:, 1:])
-        exponent[:, 1:] += np.cumsum(mid * ens.dt, axis=1)
+        exponent[:, 1:] += np.cumsum(mid * increment, axis=1)
     return np.exp(-exponent)
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .action import TestPair, first_variation_direct  # noqa: F401  (companion estimator)
+from .action import TestPair, action_per_path, running_integral
 from .estimates import EstimateWithError
 from .fields import FourierVectorField, TWO_PI
 from .flows import TimeDependentVelocity
@@ -113,8 +113,7 @@ def _perturbed_action_per_path(
     laplace_part = nu * (e1p + e1m + e2p + e2m - 4.0 * base) / fd_h**2
     drift_new = time_part + transport_part + laplace_part
 
-    speed2 = np.sum(drift_new**2, axis=1).reshape(N, Mp1)
-    return 0.5 * np.trapezoid(speed2, dx=ens.dt, axis=1)
+    return action_per_path(drift_new.reshape(N, Mp1, dim), ens.dt)
 
 
 def first_variation_fd(
@@ -186,10 +185,6 @@ class PinnedPerturbation:
         return self.base.unwrapped + self.displacement
 
     @property
-    def wrapped(self) -> np.ndarray:
-        return np.mod(self.unwrapped, TWO_PI)
-
-    @property
     def drift(self) -> np.ndarray:
         return self.base.drift + self.v
 
@@ -197,8 +192,7 @@ class PinnedPerturbation:
         return float(np.max(np.abs(self.displacement[:, -1])))
 
     def action_per_path(self) -> np.ndarray:
-        speed2 = np.sum(self.drift**2, axis=2)
-        return 0.5 * np.trapezoid(speed2, dx=self.base.dt, axis=1)
+        return action_per_path(self.drift, self.base.dt)
 
     def offset_energy_per_path(self) -> np.ndarray:
         """Per-path int |v|^2 dt, the expected action gap times two."""
@@ -208,18 +202,12 @@ class PinnedPerturbation:
         """Per path: int |g*-g|^2 dt / ((T/pi)^2 int |D_t g* - D_t g|^2 dt)."""
         T = self.base.dt * self.base.n_steps
         num = np.trapezoid(np.sum(self.displacement**2, axis=2), dx=self.base.dt, axis=1)
-        den = np.trapezoid(np.sum(self.v**2, axis=2), dx=self.base.dt, axis=1)
-        den = (T / np.pi) ** 2 * den
+        den = (T / np.pi) ** 2 * self.offset_energy_per_path()
         return num / np.where(den > 0, den, 1.0)
 
     @classmethod
     def from_velocity(cls, base: PathEnsemble, v: np.ndarray) -> "PinnedPerturbation":
-        dt = base.dt
-        seg = 0.5 * (v[:, :-1] + v[:, 1:]) * dt
-        disp = np.concatenate(
-            [np.zeros_like(v[:, :1]), np.cumsum(seg, axis=1)], axis=1
-        )
-        return cls(base, v, disp)
+        return cls(base, v, running_integral(v, base.dt))
 
 
 def sample_pinned_perturbation(
@@ -245,8 +233,7 @@ def sample_pinned_perturbation(
         [np.zeros((N, 1, base.dW.shape[2])), np.cumsum(base.dW, axis=1)], axis=1
     )
     avals = alpha_fn(wpath.reshape(-1, wpath.shape[2])).reshape(N, Mp1)
-    seg = 0.5 * (avals[:, :-1] + avals[:, 1:]) * base.dt
-    integral = np.concatenate([np.zeros((N, 1)), np.cumsum(seg, axis=1)], axis=1)
+    integral = running_integral(avals, base.dt)
     beta = np.sin(np.pi * t / T)[None, :] * integral
     c = (np.pi / T) * np.cos(np.pi * t / T)[None, :] * integral + np.sin(np.pi * t / T)[None, :] * avals
     v = c[:, :, None] * a
@@ -310,8 +297,7 @@ def minimality_check(
     R = max(hessian_bound(p) for p in u.pressures) if u.pressures else 0.0
     hypothesis_ok = R * T * T <= np.pi**2 + 1e-12
 
-    speed2 = np.sum(ens.drift**2, axis=2)
-    S_g = 0.5 * np.trapezoid(speed2, dx=ens.dt, axis=1)
+    S_g = action_per_path(ens.drift, ens.dt)
     P_g = _pressure_along(ens.unwrapped, ens.times, u)
     B_g = S_g - P_g
     est_S = EstimateWithError.from_samples(S_g)

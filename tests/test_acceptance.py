@@ -52,6 +52,8 @@ from nsvlab.variation import (
     sample_pinned_perturbation,
 )
 
+pytestmark = pytest.mark.slow
+
 NU, T = 0.1, 1.0
 SEED = 42
 

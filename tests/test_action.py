@@ -72,6 +72,12 @@ class TestAction:
         )
         assert action(shuffled).value == pytest.approx(action(tg_forward).value, rel=1e-15)
 
+    def test_full_prefix_matches_action(self, tg_forward):
+        whole = action(tg_forward)
+        (prefix,) = action_prefixes(tg_forward, [tg_forward.n_steps])
+        assert prefix.value == pytest.approx(whole.value, rel=1e-12)
+        assert prefix.std_error == pytest.approx(whole.std_error, rel=1e-12)
+
     def test_bridge_increments_near_half_log_two(self):
         M = 2**11 - 2**3  # dyadic grid holding the 2^-3..2^-5 cutoffs
         ens = brownian_bridge(0.0, 0.0, N=4000, M=M, cutoff=2.0**-8, seed=11)

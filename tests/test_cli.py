@@ -15,6 +15,7 @@ from nsvlab.cli import (
     run,
     validate,
 )
+from nsvlab.flows import taylor_green
 
 FAST = dict(N=400, M=60, K=4)
 
@@ -210,6 +211,29 @@ class TestMainEntry:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "'frames'" in err[0]
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, doc",
+        [
+            ("flow_frame_00001.json", {}),
+            ("flow_frame_00001.json", {"K": 2, "mean": [0, 0], "modes": [{"k": [1, 0], "re": [0, 1]}]}),
+            ("flow_pressure_00002.json", {"K": 2}),
+        ],
+    )
+    def test_malformed_flow_file_exit_one_with_one_line(self, tmp_path, capsys, name, doc):
+        manifest = taylor_green(0.1, 1.0, 2).save(str(tmp_path / "flow"))
+        (tmp_path / "flow" / name).write_text(json.dumps(doc))
+        argv = ["simulate", "--drift", f"spectral-file:{manifest}", "--N", "10", "--M", "10", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+        assert not (tmp_path / "report.json").exists()
+
+    def test_simulate_with_step_count_not_divisible_by_four(self, tmp_path):
+        # T/4 is off the grid at M = 150; the KS check uses grid indices
+        argv = ["simulate", "--drift", "zero", "--N", "200", "--M", "150", "--out", str(tmp_path)]
+        assert main(argv) in (0, 2)
+        assert (tmp_path / "report.json").exists()
 
     def test_cli_subprocess_round_trip(self, tmp_path):
         out = tmp_path / "o"

@@ -14,6 +14,7 @@ from nsvlab.sde import (
     drift_orthogonality,
     load_ensemble,
     measure_density,
+    path_rng,
     resimulate_from_noise,
     save_ensemble,
     simulate_ito,
@@ -99,6 +100,12 @@ class TestItoEngine:
         )
         np.testing.assert_array_equal(ens.unwrapped[:, 0], np.tile([1.0, 2.0], (10, 1)))
 
+    def test_step_index_rejects_off_grid_times(self, heat_ensemble):
+        dt = heat_ensemble.dt
+        assert heat_ensemble.step_index(100 * dt) == 100
+        with pytest.raises(ValueError, match=r"not on the grid of step dt="):
+            heat_ensemble.step_index(100.5 * dt)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_state_signalled(self):
         huge = steady_flow(constant_field((1.7e308, 0.0)), 4.0, 2, NU)
@@ -121,11 +128,16 @@ class TestReproducibility:
         big = simulate_ito(params, N=40, M=50, seed=7)
         np.testing.assert_array_equal(big.unwrapped[:10], small.unwrapped)
 
-    def test_adaptedness_prefix_resimulation(self, tg_reversed):
-        tg = taylor_green(NU, T, 400)
-        params = SdeParams(nu=NU, T=T, drift_source=tg, orientation=REVERSED)
-        prefix = resimulate_from_noise(tg_reversed, params, j_max=150)
-        np.testing.assert_array_equal(prefix, tg_reversed.unwrapped[:, :151])
+    @pytest.mark.parametrize("j_max", [150, None])
+    @pytest.mark.parametrize("drift", [FORWARD, REVERSED, "zero"])
+    def test_adaptedness_prefix_resimulation(self, drift, j_max):
+        tg = None if drift == "zero" else taylor_green(NU, T, 400)
+        orientation = REVERSED if drift == REVERSED else FORWARD
+        params = SdeParams(nu=NU, T=T, drift_source=tg, orientation=orientation)
+        ens = simulate_ito(params, N=500, M=400, seed=42)
+        prefix = resimulate_from_noise(ens, params, j_max=j_max)
+        stop = ens.n_steps if j_max is None else j_max
+        np.testing.assert_array_equal(prefix, ens.unwrapped[:, : stop + 1])
 
 
 class TestStratonovichEngine:
@@ -208,6 +220,13 @@ class TestBridge:
             t = ens.times[j]
             est = EstimateWithError.from_samples(ens.unwrapped[:, j, 0] ** 2)
             assert est.within(t * (1 - t), 3)
+
+    def test_increments_are_per_path_philox_draws(self):
+        seed, M = 5, 32
+        ens = brownian_bridge(0.1, 0.2, N=6, M=M, cutoff=0.25, seed=seed)
+        for n in range(6):
+            want = path_rng(seed, n).standard_normal((M, 1)) * np.sqrt(ens.dt)
+            np.testing.assert_array_equal(ens.dW[n], want)
 
     def test_rejects_nonpositive_cutoff(self):
         with pytest.raises(ValueError):
