@@ -51,12 +51,7 @@ from .flows import (
     steady_flow,
     taylor_green,
 )
-from .variation import (
-    first_variation_fd,
-    mean_acceleration_check,
-    minimality_check,
-    pinned_family,
-)
+from .variation import first_variation_fd, minimality_check, pinned_family
 from .sde import (
     FORWARD,
     REVERSED,
@@ -81,6 +76,11 @@ EXPERIMENTS = (
 )
 
 OUTPUT_ENV_VAR = "NSVLAB_OUT"
+
+# experiments that store an (N, M+1) ensemble: positions, drift and noise
+# increments, two float64 each per path and grid time
+STORED_ENSEMBLE = ("simulate", "action", "criticality", "minimality")
+ENSEMBLE_BYTES_PER_STEP = 48
 
 
 @dataclasses.dataclass
@@ -166,6 +166,14 @@ def validate(config: ExperimentConfig) -> list[dict]:
         err("seed must be a non-negative 64-bit integer")
     if not _parse_drift_ok(config.drift):
         err(f"unrecognized drift spec '{config.drift}'")
+    if config.experiment in STORED_ENSEMBLE:
+        need = ENSEMBLE_BYTES_PER_STEP * config.N * (config.M + 1)
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            err(
+                f"N x M = {config.N} x {config.M} stores a {need / 1e9:.3g} GB ensemble, "
+                f"more than the {have / 1e9:.3g} GB of physical memory"
+            )
     if config.experiment == "minimality" and config.drift == "taylor-green":
         # decaying-vortex pressure Hessian tops out at 1
         if 1.0 * config.T**2 > np.pi**2:
@@ -299,7 +307,7 @@ def run_fields_check(config: ExperimentConfig, report: Report, outdir: str):
 
     worst = 0.0
     for _ in range(100):
-        v = rng.standard_normal(2)
+        v = rng.standard_normal(2) * 3
         theta = rng.uniform(0, 2 * np.pi, 2)
         got = basis.frame_sum(v, theta)
         want = config.nu * float(v @ v)
@@ -324,10 +332,9 @@ def run_fields_check(config: ExperimentConfig, report: Report, outdir: str):
             np.max(np.abs(deformation_laplacian(f).coeffs - ref.coeffs)) / scale,
             np.max(np.abs(hodge_laplacian(f).coeffs - ref.coeffs)) / scale,
         )
-        g = random_divergence_free(config.K, seed=config.seed + 1000 + i)
-        lhs = deformation_laplacian(f).l2_inner(g)
-        rhs = 2.0 * deformation_inner(f, g)
-        adj_err = max(adj_err, abs(lhs - rhs))
+        a = random_divergence_free(config.K, seed=2 * config.seed + i)
+        b = random_divergence_free(config.K, seed=3 * config.seed + i)
+        adj_err = max(adj_err, abs(deformation_laplacian(a).l2_inner(b) - 2 * deformation_inner(a, b)))
         proj = leray_project(f)
         proj_err = max(proj_err, float(np.max(np.abs(proj.coeffs - f.coeffs))))
         grid = f.to_grid(64)
@@ -476,9 +483,7 @@ def run_minimality(config: ExperimentConfig, report: Report, outdir: str):
         report.add_estimate(f"S_{row['member']}", row["S_star"])
         report.add_verdict(f"ok_{row['member']}", row["ok"])
     report.add_verdict("minimality_all_members", rep["all_ok"])
-    acc = mean_acceleration_check(ens, drift)
-    report.add_estimate("mean_acceleration_residual", acc["aggregate"])
-    report.add_estimate("martingale_variance_match", acc["variance_match"])
+    report.add_value("endpoint_error_max", max(row["endpoint_error"] for row in rep["members"]))
 
 
 def run_bridge(config: ExperimentConfig, report: Report, outdir: str):
@@ -527,12 +532,7 @@ def run_measure_preservation(config: ExperimentConfig, report: Report, outdir: s
     report.add_verdict("density_one_for_solenoidal", dev == 0.0)
 
     # gradient drift: div(grad sin x1) = -sin x1
-    K = 2
-    pc = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-    pc[K + 1, K] = -0.5j
-    pc[K - 1, K] = +0.5j
-    grad_field = FourierScalarField(K, pc).gradient_field()
-    drift = steady_flow(grad_field, config.T, 2, config.nu, require_divergence_free=False)
+    drift = steady_flow(_grad_sin_x1(), config.T, 2, config.nu, require_divergence_free=False)
     params2 = SdeParams(nu=config.nu, T=config.T, drift_source=drift)
     ens2 = simulate_stratonovich_basis(params2, basis, N=N, M=M, seed=(config.seed + 1) % 2**64)
     div_drift = lambda pts: -np.sin(pts[:, 0])
@@ -541,16 +541,19 @@ def run_measure_preservation(config: ExperimentConfig, report: Report, outdir: s
     report.add_value("density_moved_fraction", frac)
     report.add_verdict("gradient_drift_moves_density", frac >= 0.9)
 
-    f_probe = FourierScalarField(K, _cos_x1_coeffs(K))
+    f_probe = _cos_x1()
     ito_pos, _ = _simulate_from_config(config, FORWARD, N=min(config.N, 20000), M=min(config.M, 500))
     t_mid = ito_pos.times[ito_pos.n_steps // 2]  # on the grid for odd M too
     pos = drift_orthogonality(ito_pos, f_probe, t_mid)
     report.add_estimate("orthogonality_positive", pos)
     report.add_verdict("orthogonality_zero", abs(pos.value) <= 3 * pos.std_error)
+    # negative control, a fixed construction: the gradient drift with nu =
+    # 0.05 for drift and noise, every path started at one point
+    neg_nu = 0.05
     neg_params = SdeParams(
-        nu=config.nu,
+        nu=neg_nu,
         T=config.T,
-        drift_source=drift,
+        drift_source=steady_flow(_grad_sin_x1(), config.T, 2, neg_nu, require_divergence_free=False),
         initial_law=("fixed", (np.pi / 4.0, 0.0)),
     )
     neg_ens = simulate_ito(neg_params, N=min(config.N, 20000), M=min(config.M, 500), seed=config.seed)
@@ -559,11 +562,18 @@ def run_measure_preservation(config: ExperimentConfig, report: Report, outdir: s
     report.add_verdict("orthogonality_negative_detected", abs(neg.value) > 3 * neg.std_error)
 
 
-def _cos_x1_coeffs(K: int) -> np.ndarray:
+def _cos_x1(K: int = 2) -> FourierScalarField:
     pc = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
     pc[K + 1, K] = 0.5
     pc[K - 1, K] = 0.5
-    return pc
+    return FourierScalarField(K, pc)
+
+
+def _grad_sin_x1(K: int = 2) -> FourierVectorField:
+    pc = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+    pc[K + 1, K] = -0.5j
+    pc[K - 1, K] = +0.5j
+    return FourierScalarField(K, pc).gradient_field()
 
 
 RUNNERS = {

@@ -75,6 +75,11 @@ def trig_gradient(points, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
         return np.zeros(pts.shape[:1] + cf.shape[1:] + (2,))
     ph = pts @ kv.T
     # d_b u = 2 Re(sum_k i k_b c_k e^{i k.x})
+    if cf.ndim == 1:  # scalar stacks: the 2-operand contraction is ~3x cheaper
+        return -2.0 * (
+            np.einsum("nm,mb->nb", np.sin(ph), kv * cf.real[:, None])
+            + np.einsum("nm,mb->nb", np.cos(ph), kv * cf.imag[:, None])
+        )
     return -2.0 * (
         np.einsum("nm,m...,mb->n...b", np.sin(ph), cf.real, kv)
         + np.einsum("nm,m...,mb->n...b", np.cos(ph), cf.imag, kv)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from nsvlab.fields import FourierScalarField, FourierVectorField, vector_laplacian
+from nsvlab.cli import _cos_x1 as cos_x1_scalar, _grad_sin_x1 as grad_sin_x1  # noqa: F401
+from nsvlab.fields import FourierVectorField, vector_laplacian
 from nsvlab.flows import TimeDependentVelocity, advection_field
 
 
@@ -10,20 +11,6 @@ def constant_field(c, K=2):
     coeffs = np.zeros((2 * K + 1, 2 * K + 1, 2), complex)
     coeffs[K, K] = c
     return FourierVectorField(K, coeffs)
-
-
-def cos_x1_scalar(K=2):
-    pc = np.zeros((2 * K + 1, 2 * K + 1), complex)
-    pc[K + 1, K] = 0.5
-    pc[K - 1, K] = 0.5
-    return FourierScalarField(K, pc)
-
-
-def grad_sin_x1(K=2):
-    pc = np.zeros((2 * K + 1, 2 * K + 1), complex)
-    pc[K + 1, K] = -0.5j
-    pc[K - 1, K] = +0.5j
-    return FourierScalarField(K, pc).gradient_field()
 
 
 def ns_residual_norm(tg: TimeDependentVelocity, t: float) -> float:

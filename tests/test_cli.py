@@ -3,10 +3,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from nsvlab.cli import (
+    EXPERIMENTS,
+    RUNNERS,
+    STORED_ENSEMBLE,
     ExperimentConfig,
     Report,
     emit_plots,
@@ -18,6 +22,7 @@ from nsvlab.cli import (
 from nsvlab.flows import taylor_green
 
 FAST = dict(N=400, M=60, K=4)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_config(experiment, **kw):
@@ -54,6 +59,26 @@ class TestValidate:
     def test_bad_drift_spec_flagged(self):
         issues = validate(make_config("action", drift="corrupted:abc"))
         assert any("drift" in i["message"] for i in issues)
+
+    @pytest.mark.parametrize("experiment", STORED_ENSEMBLE)
+    def test_ensemble_larger_than_memory_rejected(self, experiment):
+        issues = validate(make_config(experiment, N=10**7, M=10**5))
+        assert [i["level"] for i in issues] == ["error"]
+        assert "physical memory" in issues[0]["message"]
+
+
+class TestCheckedInConfigs:
+    """The acceptance gate runs every experiment on its configs/ file."""
+
+    def test_every_experiment_has_a_runner_and_a_config(self):
+        assert set(RUNNERS) == set(EXPERIMENTS)
+        assert {p.stem for p in CONFIGS.glob("*.json")} == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_config_loads_and_validates(self, path):
+        config = load_config(str(path), {})
+        assert config.experiment == path.stem
+        assert [i for i in validate(config) if i["level"] == "error"] == []
 
 
 class TestConfigLoading:
@@ -190,6 +215,14 @@ class TestMainEntry:
         assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: seed must be a non-negative 64-bit integer"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("experiment", STORED_ENSEMBLE)
+    def test_infeasible_ensemble_exit_one_with_one_line(self, tmp_path, capsys, experiment):
+        argv = [experiment, "--N", str(10**7), "--M", str(10**5), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
         assert not (tmp_path / "report.json").exists()
 
     def test_missing_config_file_exit_one(self):
