@@ -10,7 +10,7 @@ solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -165,20 +165,31 @@ def first_variation_fd(
 
 @dataclass
 class PinnedPerturbation:
-    """A noise-sharing competitor g* = g + displacement with pinned endpoints.
+    """A noise-sharing competitor g* = g + beta a with pinned endpoints.
 
-    v is the adapted velocity offset per (path, grid time); displacement is
-    its running time integral, zero at t = 0 and t = T.  The competitor keeps
-    the base ensemble's Brownian increments, so drifts simply add.
+    Rank one: per-(path, grid time) scalars c and beta times one direction a.
+    v = c a is the adapted velocity offset and displacement = beta a its
+    running time integral, zero at t = 0 and t = T.  The competitor keeps the
+    base ensemble's Brownian increments, so drifts simply add.
     """
 
     base: PathEnsemble
-    v: np.ndarray            # (N, M+1, dim)
-    displacement: np.ndarray  # (N, M+1, dim)
+    c: np.ndarray             # (N, M+1)
+    beta: np.ndarray          # (N, M+1)
+    direction: np.ndarray     # (dim,)
 
     def __post_init__(self):
-        if self.v.shape != self.base.unwrapped.shape:
-            raise ValueError("velocity offset shape mismatch")
+        self.direction = np.asarray(self.direction, dtype=float)
+        if self.c.shape != self.base.unwrapped.shape[:2] or self.beta.shape != self.c.shape:
+            raise ValueError("offset scalar shape mismatch")
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.c[:, :, None] * self.direction
+
+    @property
+    def displacement(self) -> np.ndarray:
+        return self.beta[:, :, None] * self.direction
 
     @property
     def unwrapped(self) -> np.ndarray:
@@ -189,25 +200,21 @@ class PinnedPerturbation:
         return self.base.drift + self.v
 
     def endpoint_error(self) -> float:
-        return float(np.max(np.abs(self.displacement[:, -1])))
+        return float(np.max(np.abs(self.beta[:, -1, None] * self.direction)))
 
     def action_per_path(self) -> np.ndarray:
         return action_per_path(self.drift, self.base.dt)
 
     def offset_energy_per_path(self) -> np.ndarray:
         """Per-path int |v|^2 dt, the expected action gap times two."""
-        return np.trapezoid(np.sum(self.v**2, axis=2), dx=self.base.dt, axis=1)
+        return np.trapezoid(sum((self.c * a) ** 2 for a in self.direction), dx=self.base.dt, axis=1)
 
     def poincare_ratios(self) -> np.ndarray:
         """Per path: int |g*-g|^2 dt / ((T/pi)^2 int |D_t g* - D_t g|^2 dt)."""
         T = self.base.dt * self.base.n_steps
-        num = np.trapezoid(np.sum(self.displacement**2, axis=2), dx=self.base.dt, axis=1)
+        num = np.trapezoid(sum((self.beta * a) ** 2 for a in self.direction), dx=self.base.dt, axis=1)
         den = (T / np.pi) ** 2 * self.offset_energy_per_path()
         return num / np.where(den > 0, den, 1.0)
-
-    @classmethod
-    def from_velocity(cls, base: PathEnsemble, v: np.ndarray) -> "PinnedPerturbation":
-        return cls(base, v, running_integral(v, base.dt))
 
 
 def sample_pinned_perturbation(
@@ -216,16 +223,15 @@ def sample_pinned_perturbation(
     """The constructive competitor built from a bounded functional of the noise.
 
     With I_t the running integral of alpha_fn along the path's Brownian
-    driver, the displacement is sin(pi t / T) I_t times a fixed direction,
-    whose derivative gives the adapted velocity offset
+    driver, the displacement is beta = sin(pi t / T) I_t times a fixed
+    direction a, whose derivative gives the adapted velocity offset
 
-        v(w, t) = [ (pi/T) cos(pi t/T) I_t + sin(pi t/T) alpha_fn(w_t) ] a.
+        v(w, t) = c(w, t) a = [ (pi/T) cos(pi t/T) I_t + sin(pi t/T) alpha_fn(w_t) ] a.
 
     The sine prefactor kills both endpoints exactly, so g* shares g's initial
     and final positions path by path.
     """
     N, Mp1, dim = base.unwrapped.shape
-    a = np.asarray(direction, dtype=float)
     T = base.dt * base.n_steps
     t = base.times
     # Brownian driver reconstructed from the stored increments
@@ -236,9 +242,7 @@ def sample_pinned_perturbation(
     integral = running_integral(avals, base.dt)
     beta = np.sin(np.pi * t / T)[None, :] * integral
     c = (np.pi / T) * np.cos(np.pi * t / T)[None, :] * integral + np.sin(np.pi * t / T)[None, :] * avals
-    v = c[:, :, None] * a
-    disp = beta[:, :, None] * a
-    return PinnedPerturbation(base, v, disp)
+    return PinnedPerturbation(base, c, beta, direction)
 
 
 DEFAULT_NOISE_FUNCTIONALS = (
@@ -249,29 +253,34 @@ DEFAULT_NOISE_FUNCTIONALS = (
 
 
 def pinned_family(base: PathEnsemble, count: int, seed: int = 0) -> list[tuple[str, PinnedPerturbation]]:
-    """A reproducible batch of constructive competitors with random directions."""
+    """A reproducible batch of rank-one competitors with random directions: member
+    i uses noise functional i mod 3, whose (c, beta) all its members share."""
     rng = np.random.default_rng(seed)
-    members = []
+    members, shared = [], {}
     for i in range(count):
         name, fn = DEFAULT_NOISE_FUNCTIONALS[i % len(DEFAULT_NOISE_FUNCTIONALS)]
         angle = rng.uniform(0.0, TWO_PI)
         radius = rng.uniform(0.3, 1.0)
         a = radius * np.array([np.cos(angle), np.sin(angle)])
-        members.append((f"{name}_{i}", sample_pinned_perturbation(base, fn, a)))
+        if name not in shared:
+            shared[name] = sample_pinned_perturbation(base, fn, a)
+        members.append((f"{name}_{i}", replace(shared[name], direction=a)))
     return members
 
 
 # -- minimality and acceleration diagnostics -------------------------------------
 
 
-def _pressure_along(ens_positions: np.ndarray, times: np.ndarray, u: TimeDependentVelocity) -> np.ndarray:
-    """Time-reversed pressure along paths: q(T - t_j, x_j) summed by trapezoid."""
-    N, Mp1, _ = ens_positions.shape
-    T = times[-1]
-    vals = np.empty((N, Mp1))
+def _pressure_along(ens: PathEnsemble, members: list, u: TimeDependentVelocity) -> np.ndarray:
+    """Time-reversed pressure q(T - t_j, x_j) summed by trapezoid along the paths of
+    ens (row 0) and of each member (row i), all in one pressure_at call per t_j."""
+    N, Mp1, _ = ens.unwrapped.shape
+    vals = np.empty((1 + len(members), N, Mp1))
     for j in range(Mp1):
-        vals[:, j] = u.pressure_at(T - times[j], ens_positions[:, j])
-    return np.trapezoid(vals, dx=times[1] - times[0], axis=1)
+        x = ens.unwrapped[:, j]
+        pts = np.concatenate([x] + [x + m.beta[:, j, None] * m.direction for m in members])
+        vals[:, :, j] = u.pressure_at(ens.times[-1] - ens.times[j], pts).reshape(-1, N)
+    return np.array([np.trapezoid(rows, dx=ens.times[1] - ens.times[0], axis=1) for rows in vals])
 
 
 def minimality_check(
@@ -298,16 +307,15 @@ def minimality_check(
     hypothesis_ok = R * T * T <= np.pi**2 + 1e-12
 
     S_g = action_per_path(ens.drift, ens.dt)
-    P_g = _pressure_along(ens.unwrapped, ens.times, u)
+    P_g, *P_members = _pressure_along(ens, [member for _, member in members], u)
     B_g = S_g - P_g
     est_S = EstimateWithError.from_samples(S_g)
     est_B = EstimateWithError.from_samples(B_g)
 
     rows = []
     all_ok = True
-    for name, member in members:
+    for (name, member), P_star in zip(members, P_members):
         S_star = member.action_per_path()
-        P_star = _pressure_along(member.unwrapped, ens.times, u)
         B_star = S_star - P_star
         est_S_star = EstimateWithError.from_samples(S_star)
         est_B_star = EstimateWithError.from_samples(B_star)

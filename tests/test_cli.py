@@ -1,5 +1,6 @@
 """Command line front end: validation, artifacts, determinism, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from nsvlab.cli import (
     STORED_ENSEMBLE,
     ExperimentConfig,
     Report,
+    _parser,
     emit_plots,
     load_config,
     main,
@@ -111,6 +113,12 @@ class TestConfigLoading:
         assert main(["action", "--config", str(cfg_file), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and next(iter(bad)) in err[0]
+
+    def test_every_flag_names_a_config_field(self):
+        # main passes the parsed namespace, minus --config, as config overrides
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        dests = {action.dest for action in _parser()._actions} - {"help", "config"}
+        assert dests and dests <= fields
 
     def test_output_dir_env_fallback(self, monkeypatch):
         monkeypatch.setenv("NSVLAB_OUT", "/tmp/somewhere")

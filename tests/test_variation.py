@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from nsvlab.action import TestPair, default_test_bank, first_variation_direct
+from nsvlab.action import TestPair, action_per_path, default_test_bank, first_variation_direct, running_integral
 from nsvlab.estimates import EstimateWithError, ks_critical_value, ks_uniform_statistic
 from nsvlab.fields import FourierVectorField, SpectralBasis, random_divergence_free
 from nsvlab.flows import steady_flow, taylor_green
 from nsvlab.sde import FORWARD, REVERSED, SdeParams, simulate_ito
 from nsvlab.variation import (
+    DEFAULT_NOISE_FUNCTIONALS,
     PinnedPerturbation,
     first_variation_fd,
     flow_points,
@@ -238,17 +239,80 @@ class TestPinnedPerturbation:
 
     def test_poincare_equality_case(self, ens_reversed):
         t = ens_reversed.times
-        v = ((np.pi / T) * np.cos(np.pi * t / T))[None, :, None] * np.array([0.3, 0.0])
-        v = np.broadcast_to(v, ens_reversed.unwrapped.shape).copy()
-        disp = (np.sin(np.pi * t / T))[None, :, None] * np.array([0.3, 0.0])
-        disp = np.broadcast_to(disp, ens_reversed.unwrapped.shape).copy()
-        member = PinnedPerturbation(ens_reversed, v, disp)
+        shape = ens_reversed.unwrapped.shape[:2]
+        c = np.broadcast_to((np.pi / T) * np.cos(np.pi * t / T), shape).copy()
+        beta = np.broadcast_to(np.sin(np.pi * t / T), shape).copy()
+        member = PinnedPerturbation(ens_reversed, c, beta, (0.3, 0.0))
         ratios = member.poincare_ratios()
         np.testing.assert_allclose(ratios, 1.0, atol=1e-6)
 
     def test_poincare_below_one_for_family(self, ens_reversed):
         for _, member in pinned_family(ens_reversed, 6, seed=3):
             assert np.max(member.poincare_ratios()) <= 1.0 + 1e-6
+
+
+def full_offset_reference(base, alpha_fn, direction):
+    """(v, displacement) as full (N, M+1, dim) arrays, built the unfactored way."""
+    N, Mp1, _ = base.unwrapped.shape
+    a = np.asarray(direction, dtype=float)
+    horizon = base.dt * base.n_steps
+    t = base.times
+    wpath = np.concatenate([np.zeros((N, 1, base.dW.shape[2])), np.cumsum(base.dW, axis=1)], axis=1)
+    avals = alpha_fn(wpath.reshape(-1, wpath.shape[2])).reshape(N, Mp1)
+    integral = running_integral(avals, base.dt)
+    beta = np.sin(np.pi * t / horizon)[None, :] * integral
+    c = (np.pi / horizon) * np.cos(np.pi * t / horizon)[None, :] * integral + np.sin(np.pi * t / horizon)[None, :] * avals
+    return c[:, :, None] * a, beta[:, :, None] * a
+
+
+def pressure_along_reference(positions, times, u):
+    """One ensemble at a time, one pressure_at call per grid time."""
+    vals = np.empty(positions.shape[:2])
+    for j in range(times.size):
+        vals[:, j] = u.pressure_at(times[-1] - times[j], positions[:, j])
+    return np.trapezoid(vals, dx=times[1] - times[0], axis=1)
+
+
+class TestRankOneMembers:
+    @pytest.mark.parametrize("name, fn", DEFAULT_NOISE_FUNCTIONALS, ids=[n for n, _ in DEFAULT_NOISE_FUNCTIONALS])
+    def test_offsets_match_full_arrays_bitwise(self, ens_reversed, name, fn):
+        a = (0.45, -0.3)
+        member = sample_pinned_perturbation(ens_reversed, fn, a)
+        v, disp = full_offset_reference(ens_reversed, fn, a)
+        assert member.c.shape == member.beta.shape == ens_reversed.unwrapped.shape[:2]
+        np.testing.assert_array_equal(member.v, v)
+        np.testing.assert_array_equal(member.displacement, disp)
+        # the per-member folds agree with sums over the full arrays' last axis
+        dt = ens_reversed.dt
+        energy = np.trapezoid(np.sum(v**2, axis=2), dx=dt, axis=1)
+        np.testing.assert_array_equal(member.offset_energy_per_path(), energy)
+        num = np.trapezoid(np.sum(disp**2, axis=2), dx=dt, axis=1)
+        den = (dt * ens_reversed.n_steps / np.pi) ** 2 * energy
+        np.testing.assert_array_equal(member.poincare_ratios(), num / np.where(den > 0, den, 1.0))
+        assert member.endpoint_error() == float(np.max(np.abs(disp[:, -1])))
+
+    def test_members_of_one_functional_share_scalars(self, ens_reversed):
+        members = [m for _, m in pinned_family(ens_reversed, 9, seed=7)]
+        for i in range(6):
+            assert members[i].c is members[i + 3].c
+            assert members[i].beta is members[i + 3].beta
+            assert not np.array_equal(members[i].direction, members[i + 3].direction)
+
+    def test_minimality_rows_match_per_member_reference(self, ens_reversed, tg_flow):
+        members = pinned_family(ens_reversed, 6, seed=5)
+        rep = minimality_check(ens_reversed, members, tg_flow)
+        S_g = action_per_path(ens_reversed.drift, ens_reversed.dt)
+        B_g = S_g - pressure_along_reference(ens_reversed.unwrapped, ens_reversed.times, tg_flow)
+        assert rep["B_g"] == EstimateWithError.from_samples(B_g)
+        for (name, member), row in zip(members, rep["members"]):
+            S_star = member.action_per_path()
+            B_star = S_star - pressure_along_reference(member.unwrapped, ens_reversed.times, tg_flow)
+            half_offset = 0.5 * member.offset_energy_per_path()
+            assert row["member"] == name
+            assert row["S_star"] == EstimateWithError.from_samples(S_star)
+            assert row["B_star"] == EstimateWithError.from_samples(B_star)
+            assert row["gap"] == EstimateWithError.from_samples(S_star - S_g - half_offset)
+            assert row["poincare_max"] == float(np.max(member.poincare_ratios()))
 
 
 class TestMinimality:
@@ -260,8 +324,8 @@ class TestMinimality:
         assert rep["all_ok"]
 
     def test_identical_member_gives_equality(self, ens_reversed, tg_flow):
-        v = np.zeros_like(ens_reversed.unwrapped)
-        member = PinnedPerturbation(ens_reversed, v, np.zeros_like(v))
+        zero = np.zeros(ens_reversed.unwrapped.shape[:2])
+        member = PinnedPerturbation(ens_reversed, zero, zero, (1.0, 0.0))
         rep = minimality_check(ens_reversed, [("same", member)], tg_flow)
         row = rep["members"][0]
         assert row["S_star"].value == rep["S_g"].value
