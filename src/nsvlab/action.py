@@ -9,6 +9,12 @@ Residuals come in two flavors that must agree in the large-sample limit:
 a Monte Carlo pairing of the occupation samples (t, x, v) against a test
 field/profile pair, and a deterministic space-time quadrature of the same
 integrand against a velocity history.
+
+The Monte Carlo estimators (dpm_residual, first_variation_direct) have bank
+forms that take a list of test pairs: each distinct field is evaluated once
+per point set, with one phase pass for w, grad w and 2 Def*Def w, and its
+spatial terms serve every profile paired with it.  The one-pair functions are
+the first entry of a one-pair bank, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .estimates import EstimateWithError
-from .fields import FourierVectorField, SpectralBasis, deformation_laplacian
+from .fields import FourierVectorField, SpectralBasis, TrigPhases, deformation_laplacian, stack_active_modes
 from .flows import TimeDependentVelocity
 from .sde import PathEnsemble
 
@@ -96,13 +102,18 @@ def occupation_measure(ens: PathEnsemble, thin: int = 1) -> OccupationSet:
     return OccupationSet(t, x, v, ens.n_paths, idx.size)
 
 
-def action_per_path(drift: np.ndarray, dt: float) -> np.ndarray:
-    """Per-path kinetic action 0.5 int |drift|^2 dt (trapezoid) of (N, M+1, dim) drifts.
+def _speed_squared(drift: np.ndarray) -> np.ndarray:
+    """|drift|^2 per path and grid time of (N, M+1, dim) drifts.
 
-    einsum forms |drift|^2 without a drift**2 temporary: callers pass freshly
-    built drifts that stay alive for the whole call.
+    einsum forms it without a drift**2 temporary: callers pass freshly built
+    drifts that stay alive for the whole call.
     """
-    return 0.5 * np.trapezoid(np.einsum("nja,nja->nj", drift, drift), dx=dt, axis=1)
+    return np.einsum("nja,nja->nj", drift, drift)
+
+
+def action_per_path(drift: np.ndarray, dt: float) -> np.ndarray:
+    """Per-path kinetic action 0.5 int |drift|^2 dt (trapezoid) of (N, M+1, dim) drifts."""
+    return 0.5 * np.trapezoid(_speed_squared(drift), dx=dt, axis=1)
 
 
 def running_integral(y: np.ndarray, dt: float) -> np.ndarray:
@@ -123,21 +134,57 @@ def action_prefixes(ens: PathEnsemble, step_indices) -> list[EstimateWithError]:
     Shares one ensemble across nested horizons, which is what makes the
     pinned-bridge divergence increments comparable at small variance.
     """
-    cum = 0.5 * running_integral(np.sum(ens.drift**2, axis=2), ens.dt)
+    cum = 0.5 * running_integral(_speed_squared(ens.drift), ens.dt)
     return [EstimateWithError.from_samples(cum[:, int(j)]) for j in step_indices]
 
 
-def _weak_integrand(pair: TestPair, nu: float, t, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """alpha'(t) w(x).v + alpha(t) (grad_v w)(x).v - nu alpha(t) (2 Def*Def w)(x).v per sample."""
-    return (
-        pair.dalpha(t) * np.sum(v * pair.w.evaluate_at(x), axis=1)
-        + pair.alpha(t) * np.einsum("na,nab,nb->n", v, pair.w.gradient_at(x), v)
-        - nu * pair.alpha(t) * np.sum(v * deformation_laplacian(pair.w).evaluate_at(x), axis=1)
-    )
+def group_by_identity(objects: list) -> list[tuple[object, list[int]]]:
+    """The distinct objects of a list, told apart by identity, in first-use
+    order, each with the indices at which it occurs.  default_test_bank shares
+    one field object between its two profiles, and pinned_family one (c, beta)
+    pair among the members of one noise functional."""
+    groups: dict[int, tuple[object, list[int]]] = {}
+    for i, obj in enumerate(objects):
+        groups.setdefault(id(obj), (obj, []))[1].append(i)
+    return list(groups.values())
 
 
-def dpm_residual(samples: OccupationSet, pair: TestPair, nu: float) -> EstimateWithError:
-    """Monte Carlo residual of the occupation measure against one test pair.
+def _weak_terms(w: FourierVectorField, x: np.ndarray, v: np.ndarray):
+    """Per sample w(x).v, v.(grad w)(x)v and (2 Def*Def w)(x).v, from one phase
+    pass over the stacked [w, deformation_laplacian(w)] coefficients.  Both are
+    active on the same modes (|k|^2 c + k (k.c) vanishes only where c does), so
+    each field value is bitwise what evaluate_at / gradient_at give; each is
+    paired with v as soon as it is formed, so only one is held at a time."""
+    box = deformation_laplacian(w)
+    kv, (cw, cbox) = stack_active_modes([w.coeffs, box.coeffs])
+    phases = TrigPhases(x, kv)
+    b = np.einsum("na,nab,nb->n", v, phases.gradient(cw), v)
+    a = np.sum(v * phases.sum(cw, w.mean), axis=1)
+    return a, b, np.sum(v * phases.sum(cbox, box.mean), axis=1)
+
+
+def _weak_integrals(bank: list[TestPair], nu: float, t, x: np.ndarray, v: np.ndarray, fold) -> list:
+    """fold(pair, integrand) for each pair of bank, where the per-sample weak-form
+    integrand at (t, x, v) is
+
+        alpha'(t) w(x).v + alpha(t) (grad_v w)(x).v - nu alpha(t) (2 Def*Def w)(x).v.
+
+    Each distinct field is evaluated once, and its spatial terms a = w.v,
+    b = v.(grad w)v and c = (2 Def*Def w).v serve all its profiles.
+    """
+    out = [None] * len(bank)
+    for w, idx in group_by_identity([pair.w for pair in bank]):
+        a, b, c = _weak_terms(w, x, v)
+        for i in idx:
+            pair = bank[i]
+            alpha = pair.alpha(t)
+            out[i] = fold(pair, pair.dalpha(t) * a + alpha * b - nu * alpha * c)
+        del a, b, c, alpha  # free them before the next field is evaluated
+    return out
+
+
+def dpm_residual_bank(samples: OccupationSet, bank: list[TestPair], nu: float) -> list[EstimateWithError]:
+    """Monte Carlo residuals of the occupation measure against each test pair.
 
     Reported in the time-integrated normalization (multiplied by T), matching
     weak_ns_residual, so the two estimators are directly comparable.  Samples
@@ -149,25 +196,43 @@ def dpm_residual(samples: OccupationSet, pair: TestPair, nu: float) -> EstimateW
     """
     if samples.n_times < 2:
         raise ValueError("need at least two sampled times per path")
-    vals = _weak_integrand(pair, nu, samples.t, samples.x, samples.v)
-    vals = vals.reshape(samples.n_paths, samples.n_times)
     span = samples.t[samples.n_times - 1] - samples.t[0]
-    per_path = np.trapezoid(vals, dx=span / (samples.n_times - 1), axis=1) * pair.T / span
-    return EstimateWithError.from_samples(per_path)
+
+    def fold(pair, vals):
+        vals = vals.reshape(samples.n_paths, samples.n_times)
+        per_path = np.trapezoid(vals, dx=span / (samples.n_times - 1), axis=1) * pair.T / span
+        return EstimateWithError.from_samples(per_path)
+
+    return _weak_integrals(bank, nu, samples.t, samples.x, samples.v, fold)
 
 
-def first_variation_direct(ens: PathEnsemble, pair: TestPair, nu: float) -> EstimateWithError:
-    """Analytic Gateaux derivative of the action along one test pair.
+def dpm_residual(samples: OccupationSet, pair: TestPair, nu: float) -> EstimateWithError:
+    """Monte Carlo residual of the occupation measure against one test pair
+    (see dpm_residual_bank)."""
+    return dpm_residual_bank(samples, [pair], nu)[0]
+
+
+def first_variation_direct_bank(ens: PathEnsemble, bank: list[TestPair], nu: float) -> list[EstimateWithError]:
+    """Analytic Gateaux derivatives of the action along each test pair.
 
     Per path, the trapezoidal time integral of the weak-form integrand at
-    (t, g_t, D_t g) (see _weak_integrand).
+    (t, g_t, D_t g) (see _weak_integrals).
     """
     pts = ens.unwrapped.reshape(-1, ens.dim)
     v = ens.drift.reshape(-1, ens.dim)
     t = np.tile(ens.times, ens.n_paths)
-    integrand = _weak_integrand(pair, nu, t, pts, v).reshape(ens.n_paths, ens.n_steps + 1)
-    per_path = np.trapezoid(integrand, dx=ens.dt, axis=1)
-    return EstimateWithError.from_samples(per_path)
+
+    def fold(pair, integrand):
+        integrand = integrand.reshape(ens.n_paths, ens.n_steps + 1)
+        return EstimateWithError.from_samples(np.trapezoid(integrand, dx=ens.dt, axis=1))
+
+    return _weak_integrals(bank, nu, t, pts, v, fold)
+
+
+def first_variation_direct(ens: PathEnsemble, pair: TestPair, nu: float) -> EstimateWithError:
+    """Analytic Gateaux derivative of the action along one test pair (see
+    first_variation_direct_bank)."""
+    return first_variation_direct_bank(ens, [pair], nu)[0]
 
 
 def weak_ns_residual(u: TimeDependentVelocity, pair: TestPair) -> float:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .action import TestPair, action_per_path, running_integral
+from .action import TestPair, action_per_path, group_by_identity, running_integral
 from .estimates import EstimateWithError
 from .fields import FourierVectorField, TWO_PI
 from .flows import TimeDependentVelocity
@@ -25,31 +25,45 @@ from .sde import PathEnsemble, REVERSED
 # -- perturbation flows --------------------------------------------------------
 
 
-def flow_points(w: FourierVectorField, tau, points: np.ndarray, n_steps: int = 4) -> np.ndarray:
-    """Flow of dx/ds = w(x) over per-point horizons tau (scalar or array).
+def _flow_map(w: FourierVectorField, points: np.ndarray, n_steps: int = 4):
+    """The map tau -> flow of dx/ds = w(x) from points over per-point horizons
+    tau (scalar or array), for many tau on one point set.
 
     When w is a shear field (w.is_shear(): all active wavevectors parallel to
     one direction d, every coefficient and the mean orthogonal to d), d.x is
     invariant along the flow because d.w = 0, so w is constant along each
-    trajectory and the flow is exactly x + tau w(x): one evaluation.  Every
-    single-mode frame field, and every constant field, is a shear field.  Any
-    other field is integrated by n_steps classical RK4 steps.
+    trajectory and the flow is exactly x + tau w(x): w is evaluated once, here,
+    and serves every tau.  Every single-mode frame field, and every constant
+    field, is a shear field.  Any other field is integrated by n_steps
+    classical RK4 steps for each tau.
     """
-    x = np.atleast_2d(np.asarray(points, dtype=float)).copy()
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), x.shape[:1])
-    if w.is_shear():
-        x = x + tau[:, None] * w.evaluate_at(x)
-    else:
-        h = (tau / n_steps)[:, None]
-        for _ in range(n_steps):
-            k1 = w.evaluate_at(x)
-            k2 = w.evaluate_at(x + 0.5 * h * k1)
-            k3 = w.evaluate_at(x + 0.5 * h * k2)
-            k4 = w.evaluate_at(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError("perturbation flow produced non-finite values")
-    return x
+    x0 = np.atleast_2d(np.asarray(points, dtype=float))
+    w0 = w.evaluate_at(x0) if w.is_shear() else None
+
+    def flow(tau) -> np.ndarray:
+        tau = np.broadcast_to(np.asarray(tau, dtype=float), x0.shape[:1])
+        if w0 is not None:
+            x = x0 + tau[:, None] * w0
+        else:
+            x = x0
+            h = (tau / n_steps)[:, None]
+            for _ in range(n_steps):
+                k1 = w.evaluate_at(x)
+                k2 = w.evaluate_at(x + 0.5 * h * k1)
+                k3 = w.evaluate_at(x + 0.5 * h * k2)
+                k4 = w.evaluate_at(x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError("perturbation flow produced non-finite values")
+        return x
+
+    return flow
+
+
+def flow_points(w: FourierVectorField, tau, points: np.ndarray, n_steps: int = 4) -> np.ndarray:
+    """Flow of dx/ds = w(x) over per-point horizons tau (scalar or array):
+    x + tau w(x) for a shear field, n_steps RK4 steps otherwise (see _flow_map)."""
+    return _flow_map(w, points, n_steps)(tau)
 
 
 def flow_psi(pair: TestPair, eps: float, t, points: np.ndarray, n_steps: int = 4) -> np.ndarray:
@@ -67,28 +81,49 @@ def flow_psi(pair: TestPair, eps: float, t, points: np.ndarray, n_steps: int = 4
 # -- finite-difference first variation ------------------------------------------
 
 
-def _perturbed_action_per_path(
+def first_variation_fd_bank(
     ens: PathEnsemble,
-    pair: TestPair,
+    bank: list[TestPair],
     nu: float,
-    eps: float,
-    fd_h: float,
-    n_flow_steps: int,
-) -> np.ndarray:
-    """Per-path action of the pushed-forward ensemble t -> Psi_eps^t(g_t).
+    eps_list: tuple = (0.1, 0.05, 0.025),
+    fd_h: float = 1e-3,
+    n_flow_steps: int = 4,
+    richardson_tol: float = 0.05,
+) -> list[EstimateWithError]:
+    """Central-difference dS(Psi_eps(g))/d eps at eps = 0 for each test pair,
+    Richardson refined.
 
-    The perturbed drift is rebuilt from the flat-space pushforward rule
+    Psi_eps pushes the ensemble forward, t -> Psi_eps^t(g_t) with Psi_eps^t the
+    flow of w for time eps alpha(t) (see flow_psi).  The perturbed drift is
+    rebuilt from the flat-space pushforward rule
 
         D_t(Psi(g)) = dPsi/dt + (grad Psi) D_t g + nu * (componentwise Lap Psi)
 
     with every spatial derivative of the flow map taken by central finite
     differences of step fd_h around each sample (the time part is analytic:
     d/dt Psi_eps^t(x) = eps alpha'(t) w(Psi_eps^t(x))).
+
+    Common random numbers throughout: every epsilon reuses the same stored
+    paths, so per-path derivative samples difference away most noise.  The
+    two Richardson extrapolants from consecutive epsilon pairs must agree
+    within richardson_tol relative to scale, else the step schedule is
+    rejected as too coarse or too fine.  n_flow_steps sets the RK4 steps of
+    the perturbation flow and acts only on non-shear test fields.
+
+    Everything that does not depend on eps is built once: the stencil of
+    sample points and its drift-direction and axis neighbours for the whole
+    bank, and for each distinct field its flow map on the stencil, which for
+    a shear field holds w(stencil), so each eps costs one multiply-add there.
     """
+    if len(eps_list) < 2:
+        raise ValueError("need at least two epsilon levels")
+    eps_list = sorted(eps_list, reverse=True)
+    for a, b in zip(eps_list, eps_list[1:]):
+        if abs(a / b - 2.0) > 1e-9:
+            raise ValueError("epsilon schedule must halve at each level")
     N, Mp1, dim = ens.unwrapped.shape
     pts = ens.unwrapped.reshape(-1, dim)
     t = np.tile(ens.times, N)
-    tau = eps * pair.alpha(t)
     v = ens.drift.reshape(-1, dim)
 
     speed = np.linalg.norm(v, axis=1)
@@ -105,15 +140,44 @@ def _perturbed_action_per_path(
             pts - np.array([0.0, fd_h]),
         ]
     )
-    flowed = flow_points(pair.w, np.tile(tau, 7), stencil, n_flow_steps)
-    base, dp, dm, e1p, e1m, e2p, e2m = np.split(flowed, 7)
+    del unit
 
-    time_part = (eps * pair.dalpha(t))[:, None] * pair.w.evaluate_at(base)
-    transport_part = speed[:, None] * (dp - dm) / (2.0 * fd_h)
-    laplace_part = nu * (e1p + e1m + e2p + e2m - 4.0 * base) / fd_h**2
-    drift_new = time_part + transport_part + laplace_part
+    def perturbed_action_per_path(flow, w, alpha, dalpha, eps):
+        """Per-path action of the ensemble pushed forward by Psi_eps."""
+        base, dp, dm, e1p, e1m, e2p, e2m = np.split(flow(np.tile(eps * alpha, 7)), 7)
+        time_part = (eps * dalpha)[:, None] * w.evaluate_at(base)
+        transport_part = speed[:, None] * (dp - dm) / (2.0 * fd_h)
+        laplace_part = nu * (e1p + e1m + e2p + e2m - 4.0 * base) / fd_h**2
+        drift_new = time_part + transport_part + laplace_part
+        return action_per_path(drift_new.reshape(N, Mp1, dim), ens.dt)
 
-    return action_per_path(drift_new.reshape(N, Mp1, dim), ens.dt)
+    def derivative(flow, pair):
+        alpha, dalpha = pair.alpha(t), pair.dalpha(t)
+        central = {}
+        for eps in eps_list:
+            s_plus = perturbed_action_per_path(flow, pair.w, alpha, dalpha, +eps)
+            s_minus = perturbed_action_per_path(flow, pair.w, alpha, dalpha, -eps)
+            central[eps] = (s_plus - s_minus) / (2.0 * eps)
+        extrapolants = [
+            (4.0 * central[b] - central[a]) / 3.0 for a, b in zip(eps_list, eps_list[1:])
+        ]
+        best = EstimateWithError.from_samples(extrapolants[-1])
+        if len(extrapolants) >= 2:
+            prev = EstimateWithError.from_samples(extrapolants[-2])
+            scale = max(abs(best.value), 3.0 * best.std_error, 1e-12)
+            if abs(best.value - prev.value) > richardson_tol * scale + 3.0 * best.combined_se(prev):
+                raise FloatingPointError(
+                    "Richardson extrapolants disagree; adjust the epsilon schedule"
+                )
+        return best
+
+    out = [None] * len(bank)
+    for w, idx in group_by_identity([pair.w for pair in bank]):
+        flow = _flow_map(w, stencil, n_flow_steps)
+        for i in idx:
+            out[i] = derivative(flow, bank[i])
+        del flow  # a shear field's values on the stencil: free them before the next field's
+    return out
 
 
 def first_variation_fd(
@@ -125,39 +189,11 @@ def first_variation_fd(
     n_flow_steps: int = 4,
     richardson_tol: float = 0.05,
 ) -> EstimateWithError:
-    """Central-difference dS(Psi_eps(g))/d eps at eps = 0, Richardson refined.
-
-    Common random numbers throughout: every epsilon reuses the same stored
-    paths, so per-path derivative samples difference away most noise.  The
-    two Richardson extrapolants from consecutive epsilon pairs must agree
-    within richardson_tol relative to scale, else the step schedule is
-    rejected as too coarse or too fine.  n_flow_steps sets the RK4 steps of
-    the perturbation flow and acts only on non-shear test fields; a shear
-    field's flow is taken in closed form (see flow_points).
-    """
-    if len(eps_list) < 2:
-        raise ValueError("need at least two epsilon levels")
-    eps_list = sorted(eps_list, reverse=True)
-    for a, b in zip(eps_list, eps_list[1:]):
-        if abs(a / b - 2.0) > 1e-9:
-            raise ValueError("epsilon schedule must halve at each level")
-    central = {}
-    for eps in eps_list:
-        s_plus = _perturbed_action_per_path(ens, pair, nu, +eps, fd_h, n_flow_steps)
-        s_minus = _perturbed_action_per_path(ens, pair, nu, -eps, fd_h, n_flow_steps)
-        central[eps] = (s_plus - s_minus) / (2.0 * eps)
-    extrapolants = [
-        (4.0 * central[b] - central[a]) / 3.0 for a, b in zip(eps_list, eps_list[1:])
-    ]
-    best = EstimateWithError.from_samples(extrapolants[-1])
-    if len(extrapolants) >= 2:
-        prev = EstimateWithError.from_samples(extrapolants[-2])
-        scale = max(abs(best.value), 3.0 * best.std_error, 1e-12)
-        if abs(best.value - prev.value) > richardson_tol * scale + 3.0 * best.combined_se(prev):
-            raise FloatingPointError(
-                "Richardson extrapolants disagree; adjust the epsilon schedule"
-            )
-    return best
+    """Finite-difference first variation along one test pair (see
+    first_variation_fd_bank)."""
+    return first_variation_fd_bank(
+        ens, [pair], nu, eps_list, fd_h, n_flow_steps, richardson_tol
+    )[0]
 
 
 # -- endpoint-pinned competitors -------------------------------------------------
@@ -274,12 +310,21 @@ def pinned_family(base: PathEnsemble, count: int, seed: int = 0) -> list[tuple[s
 def _pressure_along(ens: PathEnsemble, members: list, u: TimeDependentVelocity) -> np.ndarray:
     """Time-reversed pressure q(T - t_j, x_j) summed by trapezoid along the paths of
     ens (row 0) and of each member (row i), all in one pressure_at call per t_j."""
-    N, Mp1, _ = ens.unwrapped.shape
+    N, Mp1, dim = ens.unwrapped.shape
+    # the members sharing one beta array get their stacked points from one
+    # broadcast per grid time
+    groups = [
+        (beta, 1 + np.array(idx), np.array([members[i].direction for i in idx])[:, None, :])
+        for beta, idx in group_by_identity([m.beta for m in members])
+    ]
     vals = np.empty((1 + len(members), N, Mp1))
+    pts = np.empty((1 + len(members), N, dim))
     for j in range(Mp1):
         x = ens.unwrapped[:, j]
-        pts = np.concatenate([x] + [x + m.beta[:, j, None] * m.direction for m in members])
-        vals[:, :, j] = u.pressure_at(ens.times[-1] - ens.times[j], pts).reshape(-1, N)
+        pts[0] = x
+        for beta, rows, directions in groups:
+            pts[rows] = x + beta[:, j, None] * directions
+        vals[:, :, j] = u.pressure_at(ens.times[-1] - ens.times[j], pts.reshape(-1, dim)).reshape(-1, N)
     return np.array([np.trapezoid(rows, dx=ens.times[1] - ens.times[0], axis=1) for rows in vals])
 
 

@@ -9,12 +9,15 @@ from nsvlab.action import (
     action_prefixes,
     default_test_bank,
     dpm_residual,
+    dpm_residual_bank,
     first_variation_direct,
+    first_variation_direct_bank,
     occupation_measure,
+    running_integral,
     weak_ns_residual,
 )
 from nsvlab.estimates import EstimateWithError
-from nsvlab.fields import SpectralBasis
+from nsvlab.fields import SpectralBasis, deformation_laplacian, random_divergence_free
 from nsvlab.flows import steady_flow, taylor_green
 from nsvlab.sde import FORWARD, SdeParams, brownian_bridge, simulate_ito
 
@@ -77,6 +80,12 @@ class TestAction:
         (prefix,) = action_prefixes(tg_forward, [tg_forward.n_steps])
         assert prefix.value == pytest.approx(whole.value, rel=1e-12)
         assert prefix.std_error == pytest.approx(whole.std_error, rel=1e-12)
+
+    def test_prefixes_match_sum_of_squares_bitwise(self, tg_forward):
+        cum = 0.5 * running_integral(np.sum(tg_forward.drift**2, axis=2), tg_forward.dt)
+        steps = [50, 400]
+        want = [EstimateWithError.from_samples(cum[:, j]) for j in steps]
+        assert action_prefixes(tg_forward, steps) == want
 
     def test_bridge_increments_near_half_log_two(self):
         M = 2**11 - 2**3  # dyadic grid holding the 2^-3..2^-5 cutoffs
@@ -166,6 +175,73 @@ class TestDpmResidual:
         a = dpm_residual(samples, pair, NU)
         b = first_variation_direct(tg_forward, pair, NU)
         assert a.value == pytest.approx(b.value, rel=1e-12)
+
+
+def old_weak_integrand(pair, nu, t, x, v):
+    """The per-pair integrand as it was before the bank forms: three separate
+    evaluations of the pair's field."""
+    return (
+        pair.dalpha(t) * np.sum(v * pair.w.evaluate_at(x), axis=1)
+        + pair.alpha(t) * np.einsum("na,nab,nb->n", v, pair.w.gradient_at(x), v)
+        - nu * pair.alpha(t) * np.sum(v * deformation_laplacian(pair.w).evaluate_at(x), axis=1)
+    )
+
+
+def old_dpm_loop(samples, bank, nu):
+    out = []
+    for pair in bank:
+        vals = old_weak_integrand(pair, nu, samples.t, samples.x, samples.v)
+        vals = vals.reshape(samples.n_paths, samples.n_times)
+        span = samples.t[samples.n_times - 1] - samples.t[0]
+        per_path = np.trapezoid(vals, dx=span / (samples.n_times - 1), axis=1) * pair.T / span
+        out.append(EstimateWithError.from_samples(per_path))
+    return out
+
+
+def old_direct_loop(ens, bank, nu):
+    out = []
+    for pair in bank:
+        pts = ens.unwrapped.reshape(-1, ens.dim)
+        v = ens.drift.reshape(-1, ens.dim)
+        t = np.tile(ens.times, ens.n_paths)
+        integrand = old_weak_integrand(pair, nu, t, pts, v).reshape(ens.n_paths, ens.n_steps + 1)
+        out.append(EstimateWithError.from_samples(np.trapezoid(integrand, dx=ens.dt, axis=1)))
+    return out
+
+
+def random_field_bank(bank):
+    """One non-shear field with many modes, shared by the two sine profiles."""
+    w = random_divergence_free(4, 5)
+    return [TestPair(f"rnd{i}", w, p.alpha, p.dalpha, T) for i, p in enumerate(bank[:2])]
+
+
+class TestBankForms:
+    """Each bank field is evaluated once per point set; every estimate keeps
+    the bits of the old one-pair-at-a-time loop."""
+
+    @pytest.fixture(scope="class")
+    def small_tg(self):
+        tg = taylor_green(NU, T, 100)
+        return simulate_ito(SdeParams(nu=NU, T=T, drift_source=tg, orientation=FORWARD), N=300, M=100, seed=8)
+
+    @pytest.mark.parametrize("which", ["default", "random"])
+    def test_dpm_bank_matches_per_pair_loop_bitwise(self, small_tg, bank, which):
+        pairs = bank if which == "default" else random_field_bank(bank)
+        samples = occupation_measure(small_tg, thin=2)
+        got = dpm_residual_bank(samples, pairs, NU)
+        assert got == old_dpm_loop(samples, pairs, NU)
+        assert [dpm_residual(samples, p, NU) for p in pairs] == got
+
+    @pytest.mark.parametrize("which", ["default", "random"])
+    def test_direct_bank_matches_per_pair_loop_bitwise(self, small_tg, bank, which):
+        pairs = bank if which == "default" else random_field_bank(bank)
+        got = first_variation_direct_bank(small_tg, pairs, NU)
+        assert got == old_direct_loop(small_tg, pairs, NU)
+        assert [first_variation_direct(small_tg, p, NU) for p in pairs] == got
+
+    def test_default_bank_shares_each_field_between_profiles(self, bank):
+        assert [bank[i].w is bank[i + 1].w for i in (0, 2, 4)] == [True] * 3
+        assert len({id(p.w) for p in bank}) == 3
 
 
 class TestWeakResidual:

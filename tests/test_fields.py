@@ -12,6 +12,7 @@ from nsvlab.fields import (
     FourierVectorField,
     SpectralBasis,
     SpectralError,
+    TrigPhases,
     deformation_inner,
     deformation_laplacian,
     hodge_laplacian,
@@ -354,6 +355,37 @@ class TestKernel:
             assert vals.shape == (7,) and grads.shape == (7, 2)
         np.testing.assert_array_equal(vals, np.broadcast_to(mean, vals.shape))
         np.testing.assert_array_equal(grads, 0.0)
+
+
+def shared_phase_fields():
+    from helpers import constant_field
+
+    basis = SpectralBasis(beta=3.0, K=8, nu=0.1)
+    frame = [basis.basis_field(k, kind) for k, kind in (((1, 0), "cos"), ((1, 1), "sin"), ((2, 1), "cos"))]
+    return frame + [random_divergence_free(K, seed=K) for K in (1, 4, 8)] + [constant_field((0.7, -0.2))]
+
+
+class TestSharedPhases:
+    """One TrigPhases pass over the stacked [w, 2 Def*Def w] coefficients gives
+    the same bits as evaluating each field on its own."""
+
+    @pytest.mark.parametrize("i", range(7))
+    def test_stacked_field_and_laplacian_match_separate_evaluation(self, i):
+        w = shared_phase_fields()[i]
+        box = deformation_laplacian(w)
+        pts = np.random.default_rng(i).uniform(-10.0, 20.0, (500, 2))
+        kv, (cw, cbox) = stack_active_modes([w.coeffs, box.coeffs])
+        phases = TrigPhases(pts, kv)
+        np.testing.assert_array_equal(phases.sum(cw, w.mean), w.evaluate_at(pts))
+        np.testing.assert_array_equal(phases.gradient(cw), w.gradient_at(pts))
+        np.testing.assert_array_equal(phases.sum(cbox, box.mean), box.evaluate_at(pts))
+
+    def test_scalar_stack_matches_separate_evaluation(self):
+        p = FourierScalarField(4, random_hermitian(4, False, seed=9, keep=0.5))
+        pts = np.random.default_rng(3).uniform(-10.0, 20.0, (300, 2))
+        phases = TrigPhases(pts, p._compiled()[0])
+        np.testing.assert_array_equal(phases.sum(p._compiled()[1], p.mean), p.evaluate_at(pts))
+        np.testing.assert_array_equal(phases.gradient(p._compiled()[1]), p.gradient_at(pts))
 
 
 # -- structure and serialization -------------------------------------------------

@@ -12,6 +12,7 @@ from nsvlab.variation import (
     DEFAULT_NOISE_FUNCTIONALS,
     PinnedPerturbation,
     first_variation_fd,
+    first_variation_fd_bank,
     flow_points,
     flow_psi,
     mean_acceleration_check,
@@ -150,6 +151,74 @@ class TestShearFlow:
         w = bank[0].w if shear else random_divergence_free(4, 5)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             flow_points(w, np.array([0.1, np.inf]), np.ones((2, 2)))
+
+
+def old_flow_points(w, tau, points, n_steps):
+    x = np.asarray(points, dtype=float)
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), x.shape[:1])
+    if w.is_shear():
+        return x + tau[:, None] * w.evaluate_at(x)
+    return rk4_reference(w, tau, x, n_steps)
+
+
+def old_fd(ens, pair, nu, eps_list=(0.1, 0.05, 0.025), fd_h=1e-3, n_flow_steps=4):
+    """first_variation_fd as it was before the bank form: the stencil built and
+    the field evaluated on it afresh for every +-eps."""
+
+    def perturbed(eps):
+        N, Mp1, dim = ens.unwrapped.shape
+        pts = ens.unwrapped.reshape(-1, dim)
+        t = np.tile(ens.times, N)
+        tau = eps * pair.alpha(t)
+        v = ens.drift.reshape(-1, dim)
+        speed = np.linalg.norm(v, axis=1)
+        unit = np.where(speed[:, None] > 0, v / np.maximum(speed, 1e-300)[:, None], 0.0)
+        stencil = np.concatenate(
+            [pts, pts + fd_h * unit, pts - fd_h * unit, pts + np.array([fd_h, 0.0]),
+             pts - np.array([fd_h, 0.0]), pts + np.array([0.0, fd_h]), pts - np.array([0.0, fd_h])]
+        )
+        flowed = old_flow_points(pair.w, np.tile(tau, 7), stencil, n_flow_steps)
+        base, dp, dm, e1p, e1m, e2p, e2m = np.split(flowed, 7)
+        time_part = (eps * pair.dalpha(t))[:, None] * pair.w.evaluate_at(base)
+        transport_part = speed[:, None] * (dp - dm) / (2.0 * fd_h)
+        laplace_part = nu * (e1p + e1m + e2p + e2m - 4.0 * base) / fd_h**2
+        return action_per_path((time_part + transport_part + laplace_part).reshape(N, Mp1, dim), ens.dt)
+
+    eps_list = sorted(eps_list, reverse=True)
+    central = {eps: (perturbed(+eps) - perturbed(-eps)) / (2.0 * eps) for eps in eps_list}
+    extrapolants = [(4.0 * central[b] - central[a]) / 3.0 for a, b in zip(eps_list, eps_list[1:])]
+    return EstimateWithError.from_samples(extrapolants[-1])
+
+
+class TestFdBank:
+    """first_variation_fd_bank builds the stencil once and, per shear field,
+    w on it once; every estimate keeps the bits of the old per-pair loop."""
+
+    @pytest.fixture(scope="class")
+    def small_tg(self, tg_flow):
+        params = SdeParams(nu=NU, T=T, drift_source=tg_flow, orientation=FORWARD)
+        return simulate_ito(params, N=150, M=60, seed=21)
+
+    def test_default_bank_matches_per_pair_loop_bitwise(self, small_tg, bank):
+        got = first_variation_fd_bank(small_tg, bank, NU, n_flow_steps=2)
+        assert got == [old_fd(small_tg, pair, NU, n_flow_steps=2) for pair in bank]
+        assert [first_variation_fd(small_tg, pair, NU, n_flow_steps=2) for pair in bank] == got
+
+    def test_non_shear_bank_matches_per_pair_loop_bitwise(self, tg_flow, bank):
+        params = SdeParams(nu=NU, T=T, drift_source=tg_flow, orientation=FORWARD)
+        ens = simulate_ito(params, N=40, M=20, seed=22)
+        w = random_divergence_free(2, 5)
+        assert not w.is_shear() and w._compiled()[0].shape[0] > 1
+        pairs = [TestPair(f"rnd{i}", w, p.alpha, p.dalpha, T) for i, p in enumerate(bank[:2])]
+        got = first_variation_fd_bank(ens, pairs, NU, eps_list=(0.1, 0.05), n_flow_steps=2)
+        assert got == [old_fd(ens, p, NU, eps_list=(0.1, 0.05), n_flow_steps=2) for p in pairs]
+
+    @pytest.mark.parametrize("shear", [True, False])
+    def test_non_finite_horizon_raises(self, small_tg, bank, shear):
+        w = bank[0].w if shear else random_divergence_free(2, 5)
+        blowup = TestPair("inf", w, lambda t: np.where((t > 0) & (t < T), np.inf, 0.0), bank[0].dalpha, T)
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            first_variation_fd_bank(small_tg, [bank[1], blowup], NU, n_flow_steps=2)
 
 
 class TestFirstVariation:
