@@ -45,16 +45,13 @@ from .action import (
     action_prefixes,
     default_test_bank,
     dpm_residual,
-    dpm_residual_bank,
     first_variation_direct,
-    first_variation_direct_bank,
     occupation_measure,
     weak_ns_residual,
 )
 from .variation import (
     PinnedPerturbation,
     first_variation_fd,
-    first_variation_fd_bank,
     flow_points,
     flow_psi,
     mean_acceleration_check,

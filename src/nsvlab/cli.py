@@ -29,8 +29,8 @@ from .action import (
     action as kinetic_action,
     action_prefixes,
     default_test_bank,
-    dpm_residual_bank,
-    first_variation_direct_bank,
+    dpm_residual,
+    first_variation_direct,
     occupation_measure,
 )
 from .estimates import EstimateWithError, ks_critical_value, ks_uniform_statistic
@@ -51,7 +51,7 @@ from .flows import (
     steady_flow,
     taylor_green,
 )
-from .variation import first_variation_fd_bank, minimality_check, pinned_family
+from .variation import first_variation_fd, minimality_check, pinned_family
 from .sde import (
     FORWARD,
     REVERSED,
@@ -429,32 +429,26 @@ def run_criticality(config: ExperimentConfig, report: Report, outdir: str):
     bank = default_test_bank(basis, config.T)
     ens, _ = _simulate_from_config(config, FORWARD)
     occ = occupation_measure(ens, thin=max(1, config.M // 200))
-    rows = [(pair.name, res) for pair, res in zip(bank, dpm_residual_bank(occ, bank, config.nu))]
-    # the negative control reads only the DPM residuals, so it computes no variation
+    rows = []
+    for pair in bank:
+        res = dpm_residual(occ, pair, config.nu)
+        rows.append((pair.name, res))
+        report.add_estimate(f"dpm_{pair.name}", res)
+        report.add_verdict(f"dpm_zero_{pair.name}", abs(res.value) <= 3 * res.std_error)
+        if not config.negative_control:
+            fv = first_variation_direct(ens, pair, config.nu)
+            report.add_estimate(f"variation_{pair.name}", fv)
+            report.add_verdict(f"variation_zero_{pair.name}", abs(fv.value) <= 3 * fv.std_error)
     if config.negative_control:
-        direct = [None] * len(bank)
-    else:
-        direct = first_variation_direct_bank(ens, bank, config.nu)
-    for (name, res), fv in zip(rows, direct):
-        report.add_estimate(f"dpm_{name}", res)
-        report.add_verdict(f"dpm_zero_{name}", abs(res.value) <= 3 * res.std_error)
-        if fv is not None:
-            report.add_estimate(f"variation_{name}", fv)
-            report.add_verdict(f"variation_zero_{name}", abs(fv.value) <= 3 * fv.std_error)
-    if config.negative_control:
+        # the control reads only the DPM residuals, so no variation was computed
         detected = any(abs(r.value) > 5 * r.std_error for _, r in rows)
         report.add_verdict("negative_control_detected", detected)
     else:
-        # finite differences on a reduced common-random-number ensemble; at
-        # N <= 1200 and M <= 150 that is the main ensemble (same seed and drift)
-        N, M = min(config.N, 1200), min(config.M, 150)
-        if (N, M) == (config.N, config.M):
-            small, small_direct = ens, direct
-        else:
-            small, _ = _simulate_from_config(config, FORWARD, N=N, M=M)
-            small_direct = first_variation_direct_bank(small, bank, config.nu)
-        fds = first_variation_fd_bank(small, bank, config.nu, n_flow_steps=2)
-        for pair, fd, dv in zip(bank, fds, small_direct):
+        # finite differences on a reduced common-random-number ensemble
+        small, _ = _simulate_from_config(config, FORWARD, N=min(config.N, 1200), M=min(config.M, 150))
+        for pair in bank:
+            fd = first_variation_fd(small, pair, config.nu, n_flow_steps=2)
+            dv = first_variation_direct(small, pair, config.nu)
             report.add_estimate(f"variation_fd_{pair.name}", fd)
             report.add_verdict(
                 f"fd_matches_direct_{pair.name}",

@@ -184,62 +184,10 @@ class TestRun:
         ).read_bytes()
 
 
-def two_simulation_criticality(config):
-    """The positive criticality run as it was before the FD ensemble could be
-    the main one: the FD ensemble simulated on its own, every estimator called
-    one pair at a time."""
-    from nsvlab.action import default_test_bank, dpm_residual, first_variation_direct, occupation_measure
-    from nsvlab.cli import _simulate_from_config
-    from nsvlab.fields import SpectralBasis
-    from nsvlab.sde import FORWARD
-    from nsvlab.variation import first_variation_fd
+class TestCriticalityFd:
+    """A non-finite perturbation horizon stops the CLI criticality run."""
 
-    report = Report(config)
-    bank = default_test_bank(SpectralBasis(beta=config.beta, K=config.K, nu=config.nu), config.T)
-    ens, _ = _simulate_from_config(config, FORWARD)
-    occ = occupation_measure(ens, thin=max(1, config.M // 200))
-    for pair in bank:
-        res = dpm_residual(occ, pair, config.nu)
-        report.add_estimate(f"dpm_{pair.name}", res)
-        report.add_verdict(f"dpm_zero_{pair.name}", abs(res.value) <= 3 * res.std_error)
-        fv = first_variation_direct(ens, pair, config.nu)
-        report.add_estimate(f"variation_{pair.name}", fv)
-        report.add_verdict(f"variation_zero_{pair.name}", abs(fv.value) <= 3 * fv.std_error)
-    small, _ = _simulate_from_config(config, FORWARD, N=min(config.N, 1200), M=min(config.M, 150))
-    for pair in bank:
-        fd = first_variation_fd(small, pair, config.nu, n_flow_steps=2)
-        dv = first_variation_direct(small, pair, config.nu)
-        report.add_estimate(f"variation_fd_{pair.name}", fd)
-        report.add_verdict(f"fd_matches_direct_{pair.name}", abs(fd.value - dv.value) <= 3 * fd.combined_se(dv))
-    return report
-
-
-class TestCriticalityFdEnsemble:
-    """At N <= 1200 and M <= 150 the FD ensemble is the main ensemble, so the
-    run simulates once and reuses the direct estimates."""
-
-    @pytest.mark.parametrize("N, M, simulations", [(120, 40, 1), (60, 160, 2)])
-    def test_report_equals_two_simulation_run(self, tmp_path, monkeypatch, N, M, simulations):
-        import nsvlab.cli as cli
-
-        cfg = make_config("criticality", N=N, M=M, K=8, seed=5, output_dir=str(tmp_path))
-        calls = []
-        simulate = cli.simulate_ito
-
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "simulate_ito", counted)
-        report = Report(cfg)
-        RUNNERS["criticality"](cfg, report, str(tmp_path))
-        assert len(calls) == simulations
-        monkeypatch.undo()
-        want = two_simulation_criticality(cfg)
-        assert report.estimates == want.estimates
-        assert report.verdicts == want.verdicts
-
-    def test_non_finite_horizon_on_reused_ensemble_raises(self, tmp_path, monkeypatch):
+    def test_non_finite_horizon_raises(self, tmp_path, monkeypatch):
         import nsvlab.cli as cli
         from nsvlab.action import TestPair, default_test_bank
 
