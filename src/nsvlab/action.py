@@ -12,9 +12,10 @@ integrand against a velocity history.
 
 The Monte Carlo estimators (dpm_residual, first_variation_direct) have bank
 forms that take a list of test pairs: each distinct field is evaluated once
-per point set, with one phase pass for w, grad w and 2 Def*Def w, and its
-spatial terms serve every profile paired with it.  The one-pair functions are
-the first entry of a one-pair bank, so each formula is written once.
+per point set, with one phase pass that contracts each mode of w and of
+2 Def*Def w against v (no field value or Jacobian is formed), and its spatial
+terms serve every profile paired with it.  The one-pair functions are the
+first entry of a one-pair bank, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .estimates import EstimateWithError
-from .fields import FourierVectorField, SpectralBasis, TrigPhases, deformation_laplacian, stack_active_modes
+from .fields import FourierVectorField, SpectralBasis, deformation_laplacian, stack_active_modes
 from .flows import TimeDependentVelocity
 from .sde import PathEnsemble
 
@@ -150,17 +151,43 @@ def group_by_identity(objects: list) -> list[tuple[object, list[int]]]:
 
 
 def _weak_terms(w: FourierVectorField, x: np.ndarray, v: np.ndarray):
-    """Per sample w(x).v, v.(grad w)(x)v and (2 Def*Def w)(x).v, from one phase
-    pass over the stacked [w, deformation_laplacian(w)] coefficients.  Both are
-    active on the same modes (|k|^2 c + k (k.c) vanishes only where c does), so
-    each field value is bitwise what evaluate_at / gradient_at give; each is
-    paired with v as soon as it is formed, so only one is held at a time."""
+    """Per sample a = w(x).v, b = v.(grad w)(x)v and c = (2 Def*Def w)(x).v,
+    contracted against v mode by mode, so no field value or Jacobian is formed.
+
+    Over the half-lattice modes k of w, with coefficients c_k, and the phases
+    C = cos(k.x), S = sin(k.x), each an (n, m) array,
+
+        a = mean.v + 2 sum_k (C Re c_k.v - S Im c_k.v),
+        b = -2 sum_k (S Re c_k.v + C Im c_k.v) k.v,
+
+    and c is a with the coefficients of 2 Def*Def w, which is active on the
+    same modes (|k|^2 c + k (k.c) vanishes only where c does).  S takes over
+    the phases' buffer, and b is formed in C's and S's, so at most three (n, m)
+    arrays are alive at once.
+    """
     box = deformation_laplacian(w)
     kv, (cw, cbox) = stack_active_modes([w.coeffs, box.coeffs])
-    phases = TrigPhases(x, kv)
-    b = np.einsum("na,nab,nb->n", v, phases.gradient(cw), v)
-    a = np.sum(v * phases.sum(cw, w.mean), axis=1)
-    return a, b, np.sum(v * phases.sum(cbox, box.mean), axis=1)
+    ph = x @ kv.T
+    cos = np.cos(ph)
+    sin = np.sin(ph, out=ph)
+    del ph
+
+    def paired(cf, mean):  # mean.v + 2 sum_k (C Re c_k.v - S Im c_k.v)
+        out = np.einsum("nm,nm->n", cos, v @ cf.real.T)
+        out -= np.einsum("nm,nm->n", sin, v @ cf.imag.T)
+        out *= 2.0
+        out += v @ mean
+        return out
+
+    a = paired(cw, w.mean)
+    c = paired(cbox, box.mean)
+    sin *= v @ cw.real.T
+    cos *= v @ cw.imag.T
+    sin += cos
+    del cos
+    b = np.einsum("nm,nm->n", sin, v @ kv.T)
+    b *= -2.0
+    return a, b, c
 
 
 def _weak_integrals(bank: list[TestPair], nu: float, t, x: np.ndarray, v: np.ndarray, fold) -> list:
@@ -246,8 +273,12 @@ def weak_ns_residual(u: TimeDependentVelocity, pair: TestPair) -> float:
     """
     w = pair.w
     box_w = deformation_laplacian(w)
-    lin_w = np.stack([f.l2_inner(w.with_truncation(f.K)) for f in u.frames])
-    lin_box = np.stack([f.l2_inner(box_w.with_truncation(f.K)) for f in u.frames])
+    # one truncation of w and of box-w per distinct frame K
+    Ks = {f.K for f in u.frames}
+    w_at = {K: w.with_truncation(K) for K in Ks}
+    box_at = {K: box_w.with_truncation(K) for K in Ks}
+    lin_w = np.stack([f.l2_inner(w_at[f.K]) for f in u.frames])
+    lin_box = np.stack([f.l2_inner(box_at[f.K]) for f in u.frames])
     n = 2 * u.K + w.K + 2  # integrand degree is 2 K_u + K_w per axis
     U = u.frame_grid_stack(n)
     xs = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)

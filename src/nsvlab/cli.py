@@ -82,6 +82,10 @@ OUTPUT_ENV_VAR = "NSVLAB_OUT"
 STORED_ENSEMBLE = ("simulate", "action", "criticality", "minimality")
 ENSEMBLE_BYTES_PER_STEP = 48
 
+# experiments whose statistics are taken over N paths: a standard error or a
+# sample variance needs at least two
+READS_N = STORED_ENSEMBLE + ("bridge", "measure-preservation")
+
 
 @dataclasses.dataclass
 class ExperimentConfig:
@@ -157,7 +161,11 @@ def validate(config: ExperimentConfig) -> list[dict]:
         err("nu must be positive")
     if config.T <= 0:
         err("T must be positive")
-    for name in ("N", "M", "K"):
+    if config.experiment in READS_N and config.N < 2:
+        err("N must be at least 2: standard errors need two paths")
+    elif config.N <= 0:
+        err("N must be positive")
+    for name in ("M", "K"):
         if getattr(config, name) <= 0:
             err(f"{name} must be positive")
     if config.beta <= 1:

@@ -6,14 +6,15 @@ normalized Haar measure, i.e. "dx" integrals divide by (2pi)^2.  Evaluation
 along scattered points is exact trigonometric summation over the stored
 modes, never grid interpolation, so operator identities survive to rounding.
 
-Every pointwise evaluation, here and in flows.py, goes through TrigPhases
-(directly, or through trig_sum and trig_gradient) over the half-lattice
-modes that stack_active_modes selects, and every grid synthesis goes through
-to_grid.
+Every pointwise evaluation, here and in flows.py, goes through trig_sum and
+trig_gradient over the half-lattice modes that stack_active_modes selects,
+and every grid synthesis goes through to_grid.  The criticality weak terms
+(action._weak_terms) contract the same modes against a velocity directly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -29,9 +30,14 @@ class SpectralError(ValueError):
     """Raised when a field violates a structural precondition."""
 
 
+@functools.cache
 def _wavegrid(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wavenumber grids k1, k2 of the |k|_inf <= K block, built once per K and
+    read-only, since every caller shares them."""
     ks = np.arange(-K, K + 1, dtype=float)
-    return np.meshgrid(ks, ks, indexing="ij")
+    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+    k1.flags.writeable = k2.flags.writeable = False
+    return k1, k2
 
 
 def _half_lattice(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -55,71 +61,36 @@ def stack_active_modes(coeff_list: list[np.ndarray]) -> tuple[np.ndarray, np.nda
     return kv, np.stack([c[active] for c in coeff_list])
 
 
-class TrigPhases:
-    """The phases k.x of points (n, 2) over half-lattice modes kv (m, 2).
-    sum and gradient evaluate any coefficient array on those modes; each
-    result is bitwise what trig_sum / trig_gradient return for it, so one
-    phase pass can serve several fields on one mode set.
-
-    With shared=True, cos and sin of the phases are computed once, here, and
-    kept, and the phases dropped.  With shared=False they are computed at each
-    use and dropped after it, so a one-shot evaluation never holds both: at
-    n=500, m=144, allocating sin while cos is still alive measured 7-9%
-    slower per evaluation.
-    """
-
-    def __init__(self, points, kv: np.ndarray, shared: bool = True):
-        self.pts = np.atleast_2d(np.asarray(points, dtype=float))
-        self.kv = kv
-        self.ph = self.pts @ kv.T if kv.shape[0] else None
-        self.kept = None  # (cos, sin) of the phases when shared
-        if shared and self.ph is not None:
-            self.kept = np.cos(self.ph), np.sin(self.ph)
-            self.ph = None
-
-    def _cos(self) -> np.ndarray:
-        return np.cos(self.ph) if self.kept is None else self.kept[0]
-
-    def _sin(self) -> np.ndarray:
-        return np.sin(self.ph) if self.kept is None else self.kept[1]
-
-    def sum(self, cf: np.ndarray, mean=0.0) -> np.ndarray:
-        """mean + 2 Re(sum_k c_k e^{i k.x}) for cf of shape (m,) or (m, 2);
-        values (n,) or (n, 2)."""
-        if self.kv.shape[0] == 0:
-            return np.broadcast_to(mean, self.pts.shape[:1] + cf.shape[1:]).copy()
-        return mean + 2.0 * (
-            np.einsum("nm,m...->n...", self._cos(), cf.real)
-            - np.einsum("nm,m...->n...", self._sin(), cf.imag)
-        )
-
-    def gradient(self, cf: np.ndarray) -> np.ndarray:
-        """Spatial derivatives d_b of sum, with b the last axis: (n, 2) or
-        (n, 2, 2), the latter the Jacobian J[n, a, b] = d_b u_a."""
-        if self.kv.shape[0] == 0:
-            return np.zeros(self.pts.shape[:1] + cf.shape[1:] + (2,))
-        kv = self.kv
-        # d_b u = 2 Re(sum_k i k_b c_k e^{i k.x})
-        if cf.ndim == 1:  # scalar stacks: the 2-operand contraction is ~3x cheaper
-            return -2.0 * (
-                np.einsum("nm,mb->nb", self._sin(), kv * cf.real[:, None])
-                + np.einsum("nm,mb->nb", self._cos(), kv * cf.imag[:, None])
-            )
-        return -2.0 * (
-            np.einsum("nm,m...,mb->n...b", self._sin(), cf.real, kv)
-            + np.einsum("nm,m...,mb->n...b", self._cos(), cf.imag, kv)
-        )
-
-
 def trig_sum(points, kv: np.ndarray, cf: np.ndarray, mean=0.0) -> np.ndarray:
     """mean + 2 Re(sum_k c_k e^{i k.x}) over half-lattice modes kv (m, 2) with
     coefficients cf of shape (m,) or (m, 2); values (n,) or (n, 2)."""
-    return TrigPhases(points, kv, shared=False).sum(cf, mean)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if kv.shape[0] == 0:
+        return np.broadcast_to(mean, pts.shape[:1] + cf.shape[1:]).copy()
+    ph = pts @ kv.T
+    return mean + 2.0 * (
+        np.einsum("nm,m...->n...", np.cos(ph), cf.real)
+        - np.einsum("nm,m...->n...", np.sin(ph), cf.imag)
+    )
 
 
 def trig_gradient(points, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
-    """Spatial derivatives of trig_sum (see TrigPhases.gradient)."""
-    return TrigPhases(points, kv, shared=False).gradient(cf)
+    """Spatial derivatives d_b of trig_sum, with b the last axis: (n, 2) or
+    (n, 2, 2), the latter the Jacobian J[n, a, b] = d_b u_a."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if kv.shape[0] == 0:
+        return np.zeros(pts.shape[:1] + cf.shape[1:] + (2,))
+    ph = pts @ kv.T
+    # d_b u = 2 Re(sum_k i k_b c_k e^{i k.x})
+    if cf.ndim == 1:  # scalar stacks: the 2-operand contraction is ~3x cheaper
+        return -2.0 * (
+            np.einsum("nm,mb->nb", np.sin(ph), kv * cf.real[:, None])
+            + np.einsum("nm,mb->nb", np.cos(ph), kv * cf.imag[:, None])
+        )
+    return -2.0 * (
+        np.einsum("nm,m...,mb->n...b", np.sin(ph), cf.real, kv)
+        + np.einsum("nm,m...,mb->n...b", np.cos(ph), cf.imag, kv)
+    )
 
 
 def to_grid(coeffs: np.ndarray, n: int) -> np.ndarray:

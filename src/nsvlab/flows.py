@@ -43,11 +43,12 @@ def _dealias_grid_size(K: int) -> int:
 def advection_field(u: FourierVectorField) -> FourierVectorField:
     """(u . grad) u as a truncated spectral field (dealiased product)."""
     n = _dealias_grid_size(u.K)
-    U = u.to_grid(n)
     k1, k2 = _wavegrid(u.K)
-    # spectral derivatives d_1 u and d_2 u on the padded grid
-    D1 = to_grid(1j * k1[..., None] * u.coeffs, n)
-    D2 = to_grid(1j * k2[..., None] * u.coeffs, n)
+    # u and its spectral derivatives d_1 u, d_2 u on the padded grid, from one
+    # inverse FFT of the stacked (n, n, 6) spectrum
+    c = u.coeffs
+    G = to_grid(np.concatenate([c, 1j * k1[..., None] * c, 1j * k2[..., None] * c], axis=-1), n)
+    U, D1, D2 = G[..., 0:2], G[..., 2:4], G[..., 4:6]
     adv = U[..., :1] * D1 + U[..., 1:] * D2
     ahat = np.fft.fft2(adv, axes=(0, 1)) / (n * n)
     idx = np.arange(-u.K, u.K + 1) % n

@@ -11,6 +11,7 @@ import pytest
 
 from nsvlab.cli import (
     EXPERIMENTS,
+    READS_N,
     RUNNERS,
     STORED_ENSEMBLE,
     ExperimentConfig,
@@ -62,6 +63,17 @@ class TestValidate:
     def test_bad_drift_spec_flagged(self):
         issues = validate(make_config("action", drift="corrupted:abc"))
         assert any("drift" in i["message"] for i in issues)
+
+    @pytest.mark.parametrize("experiment", READS_N)
+    @pytest.mark.parametrize("N", [1, 0, -3])
+    def test_fewer_than_two_paths_rejected(self, experiment, N):
+        issues = validate(make_config(experiment, N=N))
+        assert issues == [{"level": "error", "message": "N must be at least 2: standard errors need two paths"}]
+
+    @pytest.mark.parametrize("experiment", sorted(set(EXPERIMENTS) - set(READS_N)))
+    def test_path_count_unused_elsewhere(self, experiment):
+        assert validate(make_config(experiment, N=1)) == []
+        assert [i["message"] for i in validate(make_config(experiment, N=0))] == ["N must be positive"]
 
     @pytest.mark.parametrize("experiment", STORED_ENSEMBLE)
     def test_ensemble_larger_than_memory_rejected(self, experiment):
@@ -268,6 +280,14 @@ class TestMainEntry:
         assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("experiment, M", [("simulate", "8"), ("criticality", "20")])
+    def test_single_path_exit_one_with_one_line(self, tmp_path, capsys, experiment, M):
+        # one path gave NaN variances and zero standard errors, and verdicts that passed
+        assert main([experiment, "--N", "1", "--M", M, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: N must be at least 2: standard errors need two paths"]
         assert not (tmp_path / "report.json").exists()
 
     def test_missing_config_file_exit_one(self):

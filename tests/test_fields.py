@@ -12,7 +12,7 @@ from nsvlab.fields import (
     FourierVectorField,
     SpectralBasis,
     SpectralError,
-    TrigPhases,
+    _wavegrid,
     deformation_inner,
     deformation_laplacian,
     hodge_laplacian,
@@ -337,6 +337,14 @@ class TestKernel:
         want = trig_sum(pts, *kernel_args(coeffs))
         np.testing.assert_allclose(grid.reshape(want.shape), want, rtol=0, atol=1e-12 * scale)
 
+    def test_wavegrid_built_once_per_K_and_read_only(self):
+        k1, k2 = _wavegrid(3)
+        assert _wavegrid(3)[0] is k1
+        np.testing.assert_array_equal(k1[:, 0], np.arange(-3.0, 4.0))
+        np.testing.assert_array_equal(k2[0], np.arange(-3.0, 4.0))
+        with pytest.raises(ValueError):
+            k2[0, 0] = 1.0
+
     def test_to_grid_rejects_coarse_grid(self):
         with pytest.raises(SpectralError):
             to_grid(np.zeros((5, 5), complex), 4)
@@ -366,8 +374,9 @@ def shared_phase_fields():
 
 
 class TestSharedPhases:
-    """One TrigPhases pass over the stacked [w, 2 Def*Def w] coefficients gives
-    the same bits as evaluating each field on its own."""
+    """w and 2 Def*Def w are active on the same modes, so one phase pass serves
+    both (action._weak_terms): on the stacked modes each field keeps the bits
+    of its own evaluation."""
 
     @pytest.mark.parametrize("i", range(7))
     def test_stacked_field_and_laplacian_match_separate_evaluation(self, i):
@@ -375,17 +384,19 @@ class TestSharedPhases:
         box = deformation_laplacian(w)
         pts = np.random.default_rng(i).uniform(-10.0, 20.0, (500, 2))
         kv, (cw, cbox) = stack_active_modes([w.coeffs, box.coeffs])
-        phases = TrigPhases(pts, kv)
-        np.testing.assert_array_equal(phases.sum(cw, w.mean), w.evaluate_at(pts))
-        np.testing.assert_array_equal(phases.gradient(cw), w.gradient_at(pts))
-        np.testing.assert_array_equal(phases.sum(cbox, box.mean), box.evaluate_at(pts))
+        np.testing.assert_array_equal(kv, w._compiled()[0])
+        np.testing.assert_array_equal(trig_sum(pts, kv, cw, w.mean), w.evaluate_at(pts))
+        np.testing.assert_array_equal(trig_gradient(pts, kv, cw), w.gradient_at(pts))
+        np.testing.assert_array_equal(trig_sum(pts, kv, cbox, box.mean), box.evaluate_at(pts))
 
     def test_scalar_stack_matches_separate_evaluation(self):
         p = FourierScalarField(4, random_hermitian(4, False, seed=9, keep=0.5))
+        q = p * -2.5
         pts = np.random.default_rng(3).uniform(-10.0, 20.0, (300, 2))
-        phases = TrigPhases(pts, p._compiled()[0])
-        np.testing.assert_array_equal(phases.sum(p._compiled()[1], p.mean), p.evaluate_at(pts))
-        np.testing.assert_array_equal(phases.gradient(p._compiled()[1]), p.gradient_at(pts))
+        kv, stack = stack_active_modes([p.coeffs, q.coeffs])
+        for f, cf in zip((p, q), stack):
+            np.testing.assert_array_equal(trig_sum(pts, kv, cf, f.mean), f.evaluate_at(pts))
+            np.testing.assert_array_equal(trig_gradient(pts, kv, cf), f.gradient_at(pts))
 
 
 # -- structure and serialization -------------------------------------------------

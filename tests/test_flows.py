@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from nsvlab.fields import FourierScalarField, SpectralBasis, SpectralError
+from nsvlab.fields import FourierScalarField, SpectralBasis, SpectralError, random_divergence_free, to_grid
 from nsvlab.flows import (
     TimeDependentVelocity,
     advection_field,
@@ -92,6 +92,19 @@ class TestSolver:
             errors.append((solved.frames[-1] - tg.frames[-1]).l2_norm())
         assert errors[0] / errors[1] >= 12.0
         assert errors[1] / errors[2] >= 12.0
+
+    @pytest.mark.parametrize("K", [1, 4, 8])
+    def test_advection_matches_separate_syntheses_bitwise(self, K):
+        # reference: u, d_1 u and d_2 u each synthesized on its own grid
+        u = random_divergence_free(K, seed=K) + taylor_green(NU, 1.0, 2, K=max(K, 2)).frames[0].with_truncation(K)
+        n = max(3 * K + 2, 8)
+        ks = np.arange(-K, K + 1, dtype=float)
+        k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+        U = to_grid(u.coeffs, n)
+        adv = U[..., :1] * to_grid(1j * k1[..., None] * u.coeffs, n) + U[..., 1:] * to_grid(1j * k2[..., None] * u.coeffs, n)
+        idx = np.arange(-K, K + 1) % n
+        want = (np.fft.fft2(adv, axes=(0, 1)) / (n * n))[np.ix_(idx, idx)]
+        np.testing.assert_array_equal(advection_field(u).coeffs, want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_signalled(self):
