@@ -190,23 +190,26 @@ def _weak_terms(w: FourierVectorField, x: np.ndarray, v: np.ndarray):
     return a, b, c
 
 
-def _weak_integrals(bank: list[TestPair], nu: float, t, x: np.ndarray, v: np.ndarray, fold) -> list:
+def _weak_integrals(bank: list[TestPair], nu: float, times: np.ndarray, x: np.ndarray, v: np.ndarray, fold) -> list:
     """fold(pair, integrand) for each pair of bank, where the per-sample weak-form
     integrand at (t, x, v) is
 
         alpha'(t) w(x).v + alpha(t) (grad_v w)(x).v - nu alpha(t) (2 Def*Def w)(x).v.
 
-    Each distinct field is evaluated once, and its spatial terms a = w.v,
-    b = v.(grad w)v and c = (2 Def*Def w).v serve all its profiles.
+    The samples x and v are laid out path-major over the grid times `times`, and
+    fold receives the integrand as a (paths, times) array.  Each distinct field is
+    evaluated once, and its spatial terms a = w.v, b = v.(grad w)v and
+    c = (2 Def*Def w).v serve all its profiles, which are evaluated on the
+    distinct times only.
     """
     out = [None] * len(bank)
     for w, idx in group_by_identity([pair.w for pair in bank]):
-        a, b, c = _weak_terms(w, x, v)
+        a, b, c = (y.reshape(-1, times.size) for y in _weak_terms(w, x, v))
         for i in idx:
             pair = bank[i]
-            alpha = pair.alpha(t)
-            out[i] = fold(pair, pair.dalpha(t) * a + alpha * b - nu * alpha * c)
-        del a, b, c, alpha  # free them before the next field is evaluated
+            alpha = pair.alpha(times)
+            out[i] = fold(pair, pair.dalpha(times) * a + alpha * b - nu * alpha * c)
+        del a, b, c  # free them before the next field is evaluated
     return out
 
 
@@ -226,11 +229,10 @@ def dpm_residual_bank(samples: OccupationSet, bank: list[TestPair], nu: float) -
     span = samples.t[samples.n_times - 1] - samples.t[0]
 
     def fold(pair, vals):
-        vals = vals.reshape(samples.n_paths, samples.n_times)
         per_path = np.trapezoid(vals, dx=span / (samples.n_times - 1), axis=1) * pair.T / span
         return EstimateWithError.from_samples(per_path)
 
-    return _weak_integrals(bank, nu, samples.t, samples.x, samples.v, fold)
+    return _weak_integrals(bank, nu, samples.t[: samples.n_times], samples.x, samples.v, fold)
 
 
 def dpm_residual(samples: OccupationSet, pair: TestPair, nu: float) -> EstimateWithError:
@@ -247,13 +249,11 @@ def first_variation_direct_bank(ens: PathEnsemble, bank: list[TestPair], nu: flo
     """
     pts = ens.unwrapped.reshape(-1, ens.dim)
     v = ens.drift.reshape(-1, ens.dim)
-    t = np.tile(ens.times, ens.n_paths)
 
     def fold(pair, integrand):
-        integrand = integrand.reshape(ens.n_paths, ens.n_steps + 1)
         return EstimateWithError.from_samples(np.trapezoid(integrand, dx=ens.dt, axis=1))
 
-    return _weak_integrals(bank, nu, t, pts, v, fold)
+    return _weak_integrals(bank, nu, ens.times, pts, v, fold)
 
 
 def first_variation_direct(ens: PathEnsemble, pair: TestPair, nu: float) -> EstimateWithError:

@@ -8,8 +8,10 @@ modes, never grid interpolation, so operator identities survive to rounding.
 
 Every pointwise evaluation, here and in flows.py, goes through trig_sum and
 trig_gradient over the half-lattice modes that stack_active_modes selects,
-and every grid synthesis goes through to_grid.  The criticality weak terms
-(action._weak_terms) contract the same modes against a velocity directly.
+and every grid synthesis goes through to_grid.  trig_sum contracts cos(k.x)
+and sin(k.x) with the coefficients by BLAS and skips the pass of a pure sine or
+pure cosine series.  The criticality weak terms (action._weak_terms) contract
+the same modes against a velocity directly.
 """
 
 from __future__ import annotations
@@ -63,15 +65,24 @@ def stack_active_modes(coeff_list: list[np.ndarray]) -> tuple[np.ndarray, np.nda
 
 def trig_sum(points, kv: np.ndarray, cf: np.ndarray, mean=0.0) -> np.ndarray:
     """mean + 2 Re(sum_k c_k e^{i k.x}) over half-lattice modes kv (m, 2) with
-    coefficients cf of shape (m,) or (m, 2); values (n,) or (n, 2)."""
+    coefficients cf of shape (m,) or (m, 2); values (n,) or (n, 2).
+
+    Contracted by BLAS as cos(k.x) @ Re c - sin(k.x) @ Im c, with sin formed in
+    the phases' buffer.  A pass whose coefficients are all zero is skipped: a
+    pure cosine series (a Taylor-Green pressure) needs no sines, and a pure sine
+    series (its velocity, each frame field of a sine kind) no cosines.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if kv.shape[0] == 0:
-        return np.broadcast_to(mean, pts.shape[:1] + cf.shape[1:]).copy()
-    ph = pts @ kv.T
-    return mean + 2.0 * (
-        np.einsum("nm,m...->n...", np.cos(ph), cf.real)
-        - np.einsum("nm,m...->n...", np.sin(ph), cf.imag)
-    )
+    out = np.zeros(pts.shape[:1] + cf.shape[1:])
+    if kv.shape[0]:
+        ph = pts @ kv.T
+        if cf.real.any():
+            out += np.cos(ph) @ cf.real
+        if cf.imag.any():
+            out -= np.sin(ph, out=ph) @ cf.imag
+        out *= 2.0
+    out += mean
+    return out
 
 
 def trig_gradient(points, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
@@ -103,6 +114,14 @@ def to_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
     spec = np.zeros((n, n) + coeffs.shape[2:], dtype=complex)
     spec[np.ix_(idx, idx)] = coeffs
     return np.real(np.fft.ifft2(spec, axes=(0, 1))) * n * n
+
+
+def is_positive_zero(c) -> bool:
+    """Whether every real and imaginary part of c is +0.0, the value a mode left
+    out of a saved field takes on load.  A -0.0 part is saved, so the round
+    trip keeps every bit."""
+    parts = np.concatenate([np.ravel(np.real(c)), np.ravel(np.imag(c))])
+    return not (parts.any() or np.signbit(parts).any())
 
 
 def _check_hermitian(coeffs: np.ndarray) -> None:
@@ -246,7 +265,7 @@ class FourierVectorField:
                 if i == K and j == K:
                     continue
                 c = self.coeffs[i, j]
-                if c[0] == 0 and c[1] == 0:
+                if is_positive_zero(c):
                     continue
                 modes.append(
                     {
@@ -266,9 +285,8 @@ class FourierVectorField:
         coeffs[K, K] = np.asarray(doc["mean"], dtype=float)
         for m in doc["modes"]:
             k1, k2 = m["k"]
-            coeffs[k1 + K, k2 + K] = np.asarray(m["re"], dtype=float) + 1j * np.asarray(
-                m["im"], dtype=float
-            )
+            mode = coeffs[k1 + K, k2 + K]  # set in place, so signed zeros survive
+            mode.real, mode.imag = m["re"], m["im"]
         return cls(K, coeffs)
 
 
@@ -335,19 +353,25 @@ def leray_project(f: FourierVectorField) -> FourierVectorField:
     projection is exactly idempotent: a second application returns the same
     bits.
     """
-    k1, k2 = _wavegrid(f.K)
+    return FourierVectorField(f.K, leray_coeffs(f.coeffs))
+
+
+def leray_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """leray_project on a (2K+1, 2K+1, 2) coefficient array, with no field built."""
+    K = (coeffs.shape[0] - 1) // 2
+    k1, k2 = _wavegrid(K)
     ksq = k1 * k1 + k2 * k2
     ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    c0, c1 = f.coeffs[..., 0], f.coeffs[..., 1]
+    c0, c1 = coeffs[..., 0], coeffs[..., 1]
     dot = k1 * c0 + k2 * c1
     tol = 8.0 * np.finfo(float).eps
-    already = np.abs(dot) <= tol * np.sqrt(ksq) * np.linalg.norm(f.coeffs, axis=-1)
+    already = np.abs(dot) <= tol * np.sqrt(ksq) * np.linalg.norm(coeffs, axis=-1)
     t = (k2 * c0 - k1 * c1) / ksq_safe
-    out = np.empty_like(f.coeffs)
+    out = np.empty_like(coeffs)
     out[..., 0] = np.where(already, c0, t * k2)
     out[..., 1] = np.where(already, c1, -t * k1)
-    out[f.K, f.K] = f.coeffs[f.K, f.K]
-    return FourierVectorField(f.K, out)
+    out[K, K] = coeffs[K, K]
+    return out
 
 
 def deformation_tensor_coeffs(f: FourierVectorField) -> np.ndarray:

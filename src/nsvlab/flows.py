@@ -23,12 +23,12 @@ from .fields import (
     FourierVectorField,
     SpectralError,
     _wavegrid,
-    leray_project,
+    is_positive_zero,
+    leray_coeffs,
     stack_active_modes,
     to_grid,
     trig_gradient,
     trig_sum,
-    vector_laplacian,
 )
 
 UNIFORM_TOL = 1e-12
@@ -40,48 +40,61 @@ def _dealias_grid_size(K: int) -> int:
     return max(3 * K + 2, 8)
 
 
-def advection_field(u: FourierVectorField) -> FourierVectorField:
-    """(u . grad) u as a truncated spectral field (dealiased product)."""
-    n = _dealias_grid_size(u.K)
-    k1, k2 = _wavegrid(u.K)
+def advection_coeffs(c: np.ndarray) -> np.ndarray:
+    """Coefficients of (u . grad) u for u with coefficients c (dealiased
+    product), with no field built."""
+    K = (c.shape[0] - 1) // 2
+    n = _dealias_grid_size(K)
+    k1, k2 = _wavegrid(K)
     # u and its spectral derivatives d_1 u, d_2 u on the padded grid, from one
     # inverse FFT of the stacked (n, n, 6) spectrum
-    c = u.coeffs
     G = to_grid(np.concatenate([c, 1j * k1[..., None] * c, 1j * k2[..., None] * c], axis=-1), n)
     U, D1, D2 = G[..., 0:2], G[..., 2:4], G[..., 4:6]
     adv = U[..., :1] * D1 + U[..., 1:] * D2
     ahat = np.fft.fft2(adv, axes=(0, 1)) / (n * n)
-    idx = np.arange(-u.K, u.K + 1) % n
-    return FourierVectorField(u.K, ahat[np.ix_(idx, idx)])
+    idx = np.arange(-K, K + 1) % n
+    return ahat[np.ix_(idx, idx)]
 
 
-def ns_rhs(u: FourierVectorField, nu: float) -> FourierVectorField:
-    return leray_project(advection_field(u) * -1.0) - vector_laplacian(u) * nu
+def advection_field(u: FourierVectorField) -> FourierVectorField:
+    """(u . grad) u as a truncated spectral field (dealiased product)."""
+    return FourierVectorField(u.K, advection_coeffs(u.coeffs))
+
+
+def _ns_rhs(c: np.ndarray, nu: float) -> np.ndarray:
+    """Coefficients of -P[(u.grad)u] + nu Laplace u for u with coefficients c."""
+    k1, k2 = _wavegrid((c.shape[0] - 1) // 2)
+    return leray_coeffs(-advection_coeffs(c)) - (c * (k1 * k1 + k2 * k2)[..., None]) * nu
 
 
 def ns_step(state: FourierVectorField, nu: float, dt: float) -> FourierVectorField:
-    """One explicit RK4 step of the Leray-projected spectral momentum equation."""
+    """One explicit RK4 step of the Leray-projected spectral momentum equation.
+
+    The stages run on coefficient arrays, which are Hermitian by construction
+    from the checked state, so only the returned field is checked.
+    """
     if dt <= 0:
         raise SpectralError("dt must be positive")
-    k1 = ns_rhs(state, nu)
-    k2 = ns_rhs(state + k1 * (dt / 2.0), nu)
-    k3 = ns_rhs(state + k2 * (dt / 2.0), nu)
-    k4 = ns_rhs(state + k3 * dt, nu)
-    out = state + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (dt / 6.0)
-    if not np.all(np.isfinite(out.coeffs)):
+    c = state.coeffs
+    k1 = _ns_rhs(c, nu)
+    k2 = _ns_rhs(c + k1 * (dt / 2.0), nu)
+    k3 = _ns_rhs(c + k2 * (dt / 2.0), nu)
+    k4 = _ns_rhs(c + k3 * dt, nu)
+    out = c + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (dt / 6.0)
+    if not np.all(np.isfinite(out)):
         raise FloatingPointError("spectral solver blew up: non-finite coefficient")
-    return out
+    return FourierVectorField(state.K, out)
 
 
 def pressure_from_velocity(u: FourierVectorField) -> FourierScalarField:
     """Solve Laplace p = -div((u.grad)u) spectrally, zero-mean gauge."""
     if not u.is_divergence_free(tol=1e-10):
         raise SpectralError("pressure solve requires a divergence-free velocity")
-    adv = advection_field(u)
+    adv = advection_coeffs(u.coeffs)
     k1, k2 = _wavegrid(u.K)
     ksq = k1 * k1 + k2 * k2
     ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    p_hat = 1j * (k1 * adv.coeffs[..., 0] + k2 * adv.coeffs[..., 1]) / ksq_safe
+    p_hat = 1j * (k1 * adv[..., 0] + k2 * adv[..., 1]) / ksq_safe
     p_hat[u.K, u.K] = 0.0
     return FourierScalarField(u.K, p_hat)
 
@@ -211,7 +224,7 @@ class TimeDependentVelocity:
                     {"k": [i - p.K, jj - p.K], "re": p.coeffs[i, jj].real, "im": p.coeffs[i, jj].imag}
                     for i in range(2 * p.K + 1)
                     for jj in range(2 * p.K + 1)
-                    if p.coeffs[i, jj] != 0
+                    if not is_positive_zero(p.coeffs[i, jj])
                 ],
             }
             with open(os.path.join(directory, fn), "w") as fh:
@@ -256,7 +269,7 @@ def _pressure_from_json(text: str) -> FourierScalarField:
     K = int(doc["K"])
     coeffs = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
     for m in doc["modes"]:
-        coeffs[m["k"][0] + K, m["k"][1] + K] = m["re"] + 1j * m["im"]
+        coeffs[m["k"][0] + K, m["k"][1] + K] = complex(m["re"], m["im"])
     return FourierScalarField(K, coeffs)
 
 

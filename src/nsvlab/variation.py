@@ -123,7 +123,6 @@ def first_variation_fd_bank(
             raise ValueError("epsilon schedule must halve at each level")
     N, Mp1, dim = ens.unwrapped.shape
     pts = ens.unwrapped.reshape(-1, dim)
-    t = np.tile(ens.times, N)
     v = ens.drift.reshape(-1, dim)
 
     speed = np.linalg.norm(v, axis=1)
@@ -152,7 +151,8 @@ def first_variation_fd_bank(
         return action_per_path(drift_new.reshape(N, Mp1, dim), ens.dt)
 
     def derivative(flow, pair):
-        alpha, dalpha = pair.alpha(t), pair.dalpha(t)
+        # profiles on the distinct grid times, tiled over the paths
+        alpha, dalpha = np.tile(pair.alpha(ens.times), N), np.tile(pair.dalpha(ens.times), N)
         central = {}
         for eps in eps_list:
             s_plus = perturbed_action_per_path(flow, pair.w, alpha, dalpha, +eps)
@@ -223,34 +223,8 @@ class PinnedPerturbation:
     def v(self) -> np.ndarray:
         return self.c[:, :, None] * self.direction
 
-    @property
-    def displacement(self) -> np.ndarray:
-        return self.beta[:, :, None] * self.direction
-
-    @property
-    def unwrapped(self) -> np.ndarray:
-        return self.base.unwrapped + self.displacement
-
-    @property
-    def drift(self) -> np.ndarray:
-        return self.base.drift + self.v
-
     def endpoint_error(self) -> float:
         return float(np.max(np.abs(self.beta[:, -1, None] * self.direction)))
-
-    def action_per_path(self) -> np.ndarray:
-        return action_per_path(self.drift, self.base.dt)
-
-    def offset_energy_per_path(self) -> np.ndarray:
-        """Per-path int |v|^2 dt, the expected action gap times two."""
-        return np.trapezoid(sum((self.c * a) ** 2 for a in self.direction), dx=self.base.dt, axis=1)
-
-    def poincare_ratios(self) -> np.ndarray:
-        """Per path: int |g*-g|^2 dt / ((T/pi)^2 int |D_t g* - D_t g|^2 dt)."""
-        T = self.base.dt * self.base.n_steps
-        num = np.trapezoid(sum((self.beta * a) ** 2 for a in self.direction), dx=self.base.dt, axis=1)
-        den = (T / np.pi) ** 2 * self.offset_energy_per_path()
-        return num / np.where(den > 0, den, 1.0)
 
 
 def sample_pinned_perturbation(
@@ -307,9 +281,17 @@ def pinned_family(base: PathEnsemble, count: int, seed: int = 0) -> list[tuple[s
 # -- minimality and acceleration diagnostics -------------------------------------
 
 
+def _trapezoid_weights(dt: float, n: int) -> np.ndarray:
+    """Weights w of the trapezoid rule on n uniform grid times: int y dt = y @ w."""
+    w = np.full(n, dt)
+    w[[0, -1]] = 0.5 * dt
+    return w
+
+
 def _pressure_along(ens: PathEnsemble, members: list, u: TimeDependentVelocity) -> np.ndarray:
     """Time-reversed pressure q(T - t_j, x_j) summed by trapezoid along the paths of
-    ens (row 0) and of each member (row i), all in one pressure_at call per t_j."""
+    ens (row 0) and of each member (row i), all in one pressure_at call per t_j
+    whose values are folded into the sums as the time loop goes."""
     N, Mp1, dim = ens.unwrapped.shape
     # the members sharing one beta array get their stacked points from one
     # broadcast per grid time
@@ -317,15 +299,16 @@ def _pressure_along(ens: PathEnsemble, members: list, u: TimeDependentVelocity) 
         (beta, 1 + np.array(idx), np.array([members[i].direction for i in idx])[:, None, :])
         for beta, idx in group_by_identity([m.beta for m in members])
     ]
-    vals = np.empty((1 + len(members), N, Mp1))
+    weights = _trapezoid_weights(ens.dt, Mp1)
+    sums = np.zeros((1 + len(members), N))
     pts = np.empty((1 + len(members), N, dim))
     for j in range(Mp1):
         x = ens.unwrapped[:, j]
         pts[0] = x
         for beta, rows, directions in groups:
             pts[rows] = x + beta[:, j, None] * directions
-        vals[:, :, j] = u.pressure_at(ens.times[-1] - ens.times[j], pts.reshape(-1, dim)).reshape(-1, N)
-    return np.array([np.trapezoid(rows, dx=ens.times[1] - ens.times[0], axis=1) for rows in vals])
+        sums += weights[j] * u.pressure_at(ens.times[-1] - ens.times[j], pts.reshape(-1, dim)).reshape(-1, N)
+    return sums
 
 
 def minimality_check(
@@ -342,6 +325,13 @@ def minimality_check(
     Gate SEs for the paired comparisons are combined in quadrature.  When the
     pressure-Hessian bound fails R T^2 <= pi^2 the report only warns, since
     the minimality statement's hypothesis is then violated.
+
+    A member's rows come from per-path time integrals shared by every member
+    of its noise functional (c, beta).  With d the base drift and v = c a,
+    |d + v|^2 = |d|^2 + 2 c (d.a) + c^2 |a|^2, so S* = S + int c (d.a) dt +
+    |a|^2 int c^2 dt / 2, and the gap S* - S - int |v|^2 dt / 2 is
+    int c (d.a) dt = (int c d dt).a.  The Poincare ratio
+    int beta^2 dt / ((T/pi)^2 int c^2 dt) does not depend on a.
     """
     if ens.meta.get("orientation") != REVERSED:
         raise ValueError("minimality check expects a reversed-drift ensemble")
@@ -357,17 +347,26 @@ def minimality_check(
     est_S = EstimateWithError.from_samples(S_g)
     est_B = EstimateWithError.from_samples(B_g)
 
+    weights = _trapezoid_weights(ens.dt, ens.n_steps + 1)
+    shared = {}
     rows = []
     all_ok = True
     for (name, member), P_star in zip(members, P_members):
-        S_star = member.action_per_path()
-        B_star = S_star - P_star
+        key = (id(member.c), id(member.beta))
+        if key not in shared:
+            c_sq = member.c**2 @ weights
+            den = (T / np.pi) ** 2 * c_sq
+            ratios = member.beta**2 @ weights / np.where(den > 0, den, 1.0)
+            c_drift = np.einsum("nj,nja->na", member.c * weights, ens.drift)
+            shared[key] = (c_drift, c_sq, float(np.max(ratios)))
+        c_drift, c_sq, poincare_max = shared[key]
+        a = member.direction
+        cross = c_drift @ a
+        half_offset = 0.5 * (a @ a) * c_sq
+        S_star = S_g + cross + half_offset
         est_S_star = EstimateWithError.from_samples(S_star)
-        est_B_star = EstimateWithError.from_samples(B_star)
-        half_offset = 0.5 * member.offset_energy_per_path()
-        half_v2 = EstimateWithError.from_samples(half_offset)
-        gap = EstimateWithError.from_samples(S_star - S_g - half_offset)
-        ratios = member.poincare_ratios()
+        est_B_star = EstimateWithError.from_samples(S_star - P_star)
+        gap = EstimateWithError.from_samples(cross)
         row = {
             "member": name,
             "S_star": est_S_star,
@@ -377,9 +376,9 @@ def minimality_check(
             "S_ok": est_S.value <= est_S_star.value + n_se * est_S.combined_se(est_S_star),
             "gap_ok": abs(gap.value) <= n_se * gap.std_error,
             "gap": gap,
-            "half_offset_energy": half_v2,
-            "poincare_max": float(np.max(ratios)),
-            "poincare_ok": bool(np.max(ratios) <= 1.0 + poincare_slack),
+            "half_offset_energy": EstimateWithError.from_samples(half_offset),
+            "poincare_max": poincare_max,
+            "poincare_ok": bool(poincare_max <= 1.0 + poincare_slack),
         }
         row["ok"] = row["B_ok"] and row["S_ok"] and row["gap_ok"] and row["poincare_ok"]
         all_ok &= row["ok"]

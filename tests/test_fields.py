@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsvlab import fields as fields_module
 from nsvlab.fields import (
     FourierScalarField,
     FourierVectorField,
@@ -363,6 +364,69 @@ class TestKernel:
             assert vals.shape == (7,) and grads.shape == (7, 2)
         np.testing.assert_array_equal(vals, np.broadcast_to(mean, vals.shape))
         np.testing.assert_array_equal(grads, 0.0)
+
+
+def parity_coeffs(K, vector, seed, kind):
+    """Hermitian coefficients of a pure cosine series (real, even c_k), a pure
+    sine series (imaginary, odd c_k) or a mixed one."""
+    z = random_hermitian(K, vector, seed, keep=1.0)
+    return {"cos": z.real + 0j, "sin": 1j * z.imag, "mixed": z}[kind]
+
+
+class _CountingNumpy:
+    """numpy, with its cos and sin calls counted."""
+
+    def __init__(self):
+        self.calls = {"cos": 0, "sin": 0}
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+class TestTrigSumPasses:
+    """The BLAS-contracted kernel against the full-lattice Fourier sum to 1e-14
+    relative to the coefficients' absolute sum, and the cosine or sine pass
+    skipped when all its coefficients are zero."""
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("kind", ["cos", "sin", "mixed"])
+    def test_stack_matches_full_lattice(self, kind, vector, monkeypatch):
+        stack = [parity_coeffs(K, vector, seed, kind) for K, seed in ((3, 1), (3, 2))]
+        stack.append(np.zeros_like(stack[0]))  # inactive on the stacked modes
+        kv, cfs = stack_active_modes(stack)
+        pts = np.random.default_rng(7).uniform(0.0, TWO_PI, (200, 2))
+        counting = _CountingNumpy()
+        monkeypatch.setattr(fields_module, "np", counting)
+        for coeffs, cf in zip(stack, cfs):
+            got = trig_sum(pts, kv, cf, coeffs[3, 3].real)
+            scale = max(np.sum(np.abs(coeffs)), 1.0)
+            np.testing.assert_allclose(got, full_lattice_sum(coeffs, pts), rtol=0, atol=1e-14 * scale)
+        # two active arrays, each with one pass of the kind(s) it holds
+        want = {"cos": {"cos": 2, "sin": 0}, "sin": {"cos": 0, "sin": 2}, "mixed": {"cos": 2, "sin": 2}}
+        assert counting.calls == want[kind]
+
+    @pytest.mark.parametrize("K", [1, 4, 8])
+    def test_random_divergence_free_matches_full_lattice(self, K):
+        f = random_divergence_free(K, seed=K)
+        pts = np.random.default_rng(K).uniform(0.0, TWO_PI, (300, 2))
+        scale = np.sum(np.abs(f.coeffs))
+        got = trig_sum(pts, *f._compiled())
+        np.testing.assert_allclose(got, full_lattice_sum(f.coeffs, pts), rtol=0, atol=1e-14 * scale)
+
+    def test_constant_field_is_its_mean(self):
+        from helpers import constant_field
+
+        f = constant_field((0.7, -0.2))
+        pts = np.random.default_rng(0).uniform(0.0, TWO_PI, (20, 2))
+        np.testing.assert_array_equal(trig_sum(pts, *f._compiled()), np.broadcast_to([0.7, -0.2], (20, 2)))
 
 
 def shared_phase_fields():

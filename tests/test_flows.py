@@ -1,9 +1,12 @@
 """Exact decaying vortex, spectral solver, pressure, and Hessian bound."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsvlab.fields import FourierScalarField, SpectralBasis, SpectralError, random_divergence_free, to_grid
 from nsvlab.flows import (
@@ -225,3 +228,40 @@ class TestTimeDependentVelocity:
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
         for a, b in zip(back.pressures, tg.pressures):
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+
+def zero_mean_pressure(K, rng, keep):
+    """A random real zero-mean scalar field, each {k, -k} pair kept with
+    probability keep."""
+    n = 2 * K + 1
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mask = rng.uniform(size=(n, n)) < keep
+    z = np.where(mask & mask[::-1, ::-1], z, 0.0)
+    z = 0.5 * (z + np.conj(z[::-1, ::-1]))
+    z[K, K] = 0.0
+    return FourierScalarField(K, z)
+
+
+class TestPersistenceProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        K=st.integers(1, 4),
+        M=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        with_pressure=st.booleans(),
+        nu=st.floats(1e-6, 1e3),
+        T=st.floats(1e-3, 1e3),
+        keep=st.sampled_from([0.0, 0.4, 1.0]),
+    )
+    def test_save_load_round_trip_bitwise(self, K, M, seed, with_pressure, nu, T, keep):
+        rng = np.random.default_rng(seed)
+        frames = [random_divergence_free(K, seed=seed + j, scale=rng.uniform(0.1, 10.0)) for j in range(M + 1)]
+        pressures = [zero_mean_pressure(K, rng, keep) for _ in frames] if with_pressure else []
+        u = TimeDependentVelocity(np.linspace(0.0, T, M + 1), frames, pressures, nu)
+        with tempfile.TemporaryDirectory() as tmp:
+            back = TimeDependentVelocity.load(u.save(tmp, "flow"))
+        assert back.nu == u.nu
+        assert back.times.tobytes() == u.times.tobytes()
+        assert len(back.frames) == len(u.frames) and len(back.pressures) == len(u.pressures)
+        for a, b in zip(back.frames + back.pressures, u.frames + u.pressures):
+            assert a.K == b.K and a.coeffs.tobytes() == b.coeffs.tobytes()

@@ -1,14 +1,22 @@
 """Ensemble simulation: statistics, reproducibility, densities, persistence."""
 
+import os
+import tempfile
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsvlab.estimates import EstimateWithError, ks_critical_value, ks_uniform_statistic
 from nsvlab.fields import FourierScalarField, SpectralBasis
 from nsvlab.flows import steady_flow, taylor_green
 from nsvlab.sde import (
     FORWARD,
+    KIND_CODES,
     REVERSED,
+    PathEnsemble,
     SdeParams,
     brownian_bridge,
     drift_orthogonality,
@@ -298,6 +306,44 @@ class TestPersistence:
         assert back.kind == heat_ensemble.kind
         assert back.dt == heat_ensemble.dt
         assert back.seed == heat_ensemble.seed
+
+
+def ensemble_cases():
+    """Ensembles of every kind with arbitrary float64 contents, NaN, infinities
+    and signed zeros included, and a JSON-serializable meta."""
+    floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+    @st.composite
+    def build(draw):
+        N, M, dim, C = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        return PathEnsemble(
+            kind=draw(st.sampled_from(sorted(KIND_CODES))),
+            nu=draw(st.none() | st.floats(1e-6, 1e6)),
+            dt=draw(st.floats(1e-9, 10.0)),
+            seed=draw(st.integers(0, 2**64 - 1)),
+            unwrapped=draw(hnp.arrays(np.float64, (N, M + 1, dim), elements=floats)),
+            drift=draw(hnp.arrays(np.float64, (N, M + 1, dim), elements=floats)),
+            dW=draw(hnp.arrays(np.float64, (N, M, C), elements=floats)),
+            meta=draw(st.dictionaries(st.text(max_size=8), st.integers() | st.text(max_size=8), max_size=3)),
+        )
+
+    return build()
+
+
+class TestPersistenceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(ens=ensemble_cases())
+    def test_save_load_round_trip_bitwise(self, ens):
+        with tempfile.TemporaryDirectory() as tmp:
+            stem = os.path.join(tmp, "ens")
+            save_ensemble(ens, stem)
+            back = load_ensemble(stem)
+        for name in ("unwrapped", "drift", "dW"):
+            got, want = getattr(back, name), getattr(ens, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert (back.kind, back.seed, back.meta) == (ens.kind, ens.seed, ens.meta)
+        assert np.float64(back.dt).tobytes() == np.float64(ens.dt).tobytes()
+        assert back.nu == ens.nu
 
 
 class TestAntithetic:

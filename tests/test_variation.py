@@ -11,6 +11,7 @@ from nsvlab.sde import FORWARD, REVERSED, SdeParams, simulate_ito
 from nsvlab.variation import (
     DEFAULT_NOISE_FUNCTIONALS,
     PinnedPerturbation,
+    _pressure_along,
     first_variation_fd,
     first_variation_fd_bank,
     flow_points,
@@ -268,16 +269,43 @@ class TestFirstVariation:
         assert worst > 5.0
 
 
+# -- per-member references: a rank-one member's full (N, M+1, dim) path, and the
+# per-member folds that minimality_check takes from per-functional sums
+
+
+def competitor_path(member):
+    """g* = g + beta a."""
+    return member.base.unwrapped + member.beta[:, :, None] * member.direction
+
+
+def competitor_action(member):
+    """Per-path action of g*, whose drift is the base drift plus v."""
+    return action_per_path(member.base.drift + member.v, member.base.dt)
+
+
+def offset_energy(member):
+    """Per-path int |v|^2 dt, the expected action gap times two."""
+    return np.trapezoid(sum((member.c * a) ** 2 for a in member.direction), dx=member.base.dt, axis=1)
+
+
+def poincare_ratios(member):
+    """Per path: int |g*-g|^2 dt / ((T/pi)^2 int |D_t g* - D_t g|^2 dt)."""
+    horizon = member.base.dt * member.base.n_steps
+    num = np.trapezoid(sum((member.beta * a) ** 2 for a in member.direction), dx=member.base.dt, axis=1)
+    den = (horizon / np.pi) ** 2 * offset_energy(member)
+    return num / np.where(den > 0, den, 1.0)
+
+
 class TestPinnedPerturbation:
     def test_zero_functional_gives_identity(self, ens_reversed):
         member = sample_pinned_perturbation(ens_reversed, lambda w: 0.0 * w[:, 0], (1.0, 0.0))
-        np.testing.assert_array_equal(member.unwrapped, ens_reversed.unwrapped)
+        np.testing.assert_array_equal(competitor_path(member), ens_reversed.unwrapped)
         assert member.endpoint_error() == 0.0
 
     def test_endpoints_pinned(self, ens_reversed):
         member = sample_pinned_perturbation(ens_reversed, lambda w: np.cos(w[:, 0]), (0.5, 0.3))
         assert member.endpoint_error() <= 1e-10
-        np.testing.assert_array_equal(member.unwrapped[:, 0], ens_reversed.unwrapped[:, 0])
+        np.testing.assert_array_equal(competitor_path(member)[:, 0], ens_reversed.unwrapped[:, 0])
 
     def test_velocity_offset_is_adapted(self, ens_reversed):
         # zeroing the noise after step j must not change the offset before j
@@ -302,22 +330,23 @@ class TestPinnedPerturbation:
         base_action = 0.5 * np.trapezoid(
             np.sum(ens_reversed.drift**2, axis=2), dx=ens_reversed.dt, axis=1
         )
-        gap = member.action_per_path() - base_action - 0.5 * member.offset_energy_per_path()
+        gap = competitor_action(member) - base_action - 0.5 * offset_energy(member)
         est = EstimateWithError.from_samples(gap)
         assert est.within(0.0, 3)
 
-    def test_poincare_equality_case(self, ens_reversed):
+    def test_poincare_equality_case(self, ens_reversed, tg_flow):
         t = ens_reversed.times
         shape = ens_reversed.unwrapped.shape[:2]
         c = np.broadcast_to((np.pi / T) * np.cos(np.pi * t / T), shape).copy()
         beta = np.broadcast_to(np.sin(np.pi * t / T), shape).copy()
         member = PinnedPerturbation(ens_reversed, c, beta, (0.3, 0.0))
-        ratios = member.poincare_ratios()
-        np.testing.assert_allclose(ratios, 1.0, atol=1e-6)
+        np.testing.assert_allclose(poincare_ratios(member), 1.0, atol=1e-6)
+        rep = minimality_check(ens_reversed, [("sine", member)], tg_flow)
+        assert rep["members"][0]["poincare_max"] == pytest.approx(1.0, abs=1e-6)
 
     def test_poincare_below_one_for_family(self, ens_reversed):
         for _, member in pinned_family(ens_reversed, 6, seed=3):
-            assert np.max(member.poincare_ratios()) <= 1.0 + 1e-6
+            assert np.max(poincare_ratios(member)) <= 1.0 + 1e-6
 
 
 def full_offset_reference(base, alpha_fn, direction):
@@ -342,6 +371,14 @@ def pressure_along_reference(positions, times, u):
     return np.trapezoid(vals, dx=times[1] - times[0], axis=1)
 
 
+def assert_estimate_close(got, want, rel=1e-12):
+    """Value and standard error within rel relative; a value near zero (an
+    action gap) is held to rel of its standard error."""
+    assert got.n == want.n
+    assert got.value == pytest.approx(want.value, rel=rel, abs=rel * want.std_error)
+    assert got.std_error == pytest.approx(want.std_error, rel=rel)
+
+
 class TestRankOneMembers:
     @pytest.mark.parametrize("name, fn", DEFAULT_NOISE_FUNCTIONALS, ids=[n for n, _ in DEFAULT_NOISE_FUNCTIONALS])
     def test_offsets_match_full_arrays_bitwise(self, ens_reversed, name, fn):
@@ -350,14 +387,14 @@ class TestRankOneMembers:
         v, disp = full_offset_reference(ens_reversed, fn, a)
         assert member.c.shape == member.beta.shape == ens_reversed.unwrapped.shape[:2]
         np.testing.assert_array_equal(member.v, v)
-        np.testing.assert_array_equal(member.displacement, disp)
+        np.testing.assert_array_equal(member.beta[:, :, None] * member.direction, disp)
         # the per-member folds agree with sums over the full arrays' last axis
         dt = ens_reversed.dt
         energy = np.trapezoid(np.sum(v**2, axis=2), dx=dt, axis=1)
-        np.testing.assert_array_equal(member.offset_energy_per_path(), energy)
+        np.testing.assert_array_equal(offset_energy(member), energy)
         num = np.trapezoid(np.sum(disp**2, axis=2), dx=dt, axis=1)
         den = (dt * ens_reversed.n_steps / np.pi) ** 2 * energy
-        np.testing.assert_array_equal(member.poincare_ratios(), num / np.where(den > 0, den, 1.0))
+        np.testing.assert_array_equal(poincare_ratios(member), num / np.where(den > 0, den, 1.0))
         assert member.endpoint_error() == float(np.max(np.abs(disp[:, -1])))
 
     def test_members_of_one_functional_share_scalars(self, ens_reversed):
@@ -367,21 +404,34 @@ class TestRankOneMembers:
             assert members[i].beta is members[i + 3].beta
             assert not np.array_equal(members[i].direction, members[i + 3].direction)
 
+    def test_folded_pressure_matches_per_row_reference(self, ens_reversed, tg_flow):
+        members = [m for _, m in pinned_family(ens_reversed, 7, seed=2)]
+        got = _pressure_along(ens_reversed, members, tg_flow)
+        paths = [ens_reversed.unwrapped] + [competitor_path(m) for m in members]
+        assert got.shape == (len(paths), ens_reversed.n_paths)
+        for row, path in zip(got, paths):
+            want = pressure_along_reference(path, ens_reversed.times, tg_flow)
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
     def test_minimality_rows_match_per_member_reference(self, ens_reversed, tg_flow):
+        # the rows come from per-functional sums, summed in another order than
+        # the per-member folds: 1e-12 relative, in value and standard error
         members = pinned_family(ens_reversed, 6, seed=5)
         rep = minimality_check(ens_reversed, members, tg_flow)
         S_g = action_per_path(ens_reversed.drift, ens_reversed.dt)
         B_g = S_g - pressure_along_reference(ens_reversed.unwrapped, ens_reversed.times, tg_flow)
-        assert rep["B_g"] == EstimateWithError.from_samples(B_g)
+        assert_estimate_close(rep["B_g"], EstimateWithError.from_samples(B_g))
         for (name, member), row in zip(members, rep["members"]):
-            S_star = member.action_per_path()
-            B_star = S_star - pressure_along_reference(member.unwrapped, ens_reversed.times, tg_flow)
-            half_offset = 0.5 * member.offset_energy_per_path()
+            S_star = competitor_action(member)
+            B_star = S_star - pressure_along_reference(competitor_path(member), ens_reversed.times, tg_flow)
+            half_offset = 0.5 * offset_energy(member)
             assert row["member"] == name
-            assert row["S_star"] == EstimateWithError.from_samples(S_star)
-            assert row["B_star"] == EstimateWithError.from_samples(B_star)
-            assert row["gap"] == EstimateWithError.from_samples(S_star - S_g - half_offset)
-            assert row["poincare_max"] == float(np.max(member.poincare_ratios()))
+            assert_estimate_close(row["S_star"], EstimateWithError.from_samples(S_star))
+            assert_estimate_close(row["B_star"], EstimateWithError.from_samples(B_star))
+            assert_estimate_close(row["gap"], EstimateWithError.from_samples(S_star - S_g - half_offset))
+            assert_estimate_close(row["half_offset_energy"], EstimateWithError.from_samples(half_offset))
+            assert row["poincare_max"] == pytest.approx(float(np.max(poincare_ratios(member))), rel=1e-12)
+            assert row["endpoint_error"] == member.endpoint_error()
 
 
 class TestMinimality:
