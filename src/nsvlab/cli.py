@@ -172,8 +172,10 @@ def validate(config: ExperimentConfig) -> list[dict]:
         err("beta must exceed 1")
     if not 0 <= config.seed < 2**64:
         err("seed must be a non-negative 64-bit integer")
-    if not _parse_drift_ok(config.drift):
-        err(f"unrecognized drift spec '{config.drift}'")
+    try:
+        parse_drift(config.drift)
+    except ValueError as exc:
+        err(str(exc))
     if config.experiment in STORED_ENSEMBLE:
         need = ENSEMBLE_BYTES_PER_STEP * config.N * (config.M + 1)
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -189,18 +191,25 @@ def validate(config: ExperimentConfig) -> list[dict]:
     return issues
 
 
-def _parse_drift_ok(spec: str) -> bool:
+def parse_drift(spec: str) -> tuple[str, float | str | None]:
+    """The kind of a --drift spec and its argument: ("zero", None),
+    ("taylor-green", None), ("corrupted", finite amplitude) or
+    ("spectral-file", manifest path).  ValueError for any other spec."""
     if spec in ("taylor-green", "zero"):
-        return True
-    if spec.startswith("corrupted:"):
+        return spec, None
+    kind, colon, arg = spec.partition(":")
+    if colon and kind == "spectral-file":
+        return kind, arg
+    if colon and kind == "corrupted":
         try:
-            float(spec.split(":", 1)[1])
-            return True
+            amp = float(arg)
         except ValueError:
-            return False
-    if spec.startswith("spectral-file:"):
-        return True
-    return False
+            pass
+        else:
+            if not math.isfinite(amp):
+                raise ValueError(f"drift spec '{spec}' needs a finite amplitude")
+            return kind, amp
+    raise ValueError(f"unrecognized drift spec '{spec}'")
 
 
 def _corruption_field(K: int, amplitude: float) -> FourierVectorField:
@@ -213,20 +222,16 @@ def _corruption_field(K: int, amplitude: float) -> FourierVectorField:
 
 
 def build_drift(config: ExperimentConfig) -> TimeDependentVelocity | None:
-    spec = config.drift
-    if spec == "zero":
+    kind, arg = parse_drift(config.drift)
+    if kind == "zero":
         return None
-    if spec == "taylor-green":
-        return taylor_green(config.nu, config.T, config.M, K=2)
-    if spec.startswith("corrupted:"):
-        amp = float(spec.split(":", 1)[1])
-        tg = taylor_green(config.nu, config.T, config.M, K=2)
-        bump = _corruption_field(2, amp)
-        frames = [f + bump for f in tg.frames]
-        return TimeDependentVelocity(tg.times, frames, [], config.nu)
-    if spec.startswith("spectral-file:"):
-        return TimeDependentVelocity.load(spec.split(":", 1)[1])
-    raise ValueError(f"unrecognized drift spec '{spec}'")
+    if kind == "spectral-file":
+        return TimeDependentVelocity.load(arg)
+    tg = taylor_green(config.nu, config.T, config.M, K=2)
+    if kind == "taylor-green":
+        return tg
+    bump = _corruption_field(2, arg)
+    return TimeDependentVelocity(tg.times, [f + bump for f in tg.frames], [], config.nu)
 
 
 # -- report plumbing -------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Divergence-free vector fields on the flat 2-torus and their spectral operators.
+"""Scalar and vector fields on the flat 2-torus and their spectral operators.
 
 Fields live on T^2 = [0, 2pi)^2 and are stored as truncated Fourier
-coefficients on the square block |k|_inf <= K.  All spatial averages use the
-normalized Haar measure, i.e. "dx" integrals divide by (2pi)^2.  Evaluation
-along scattered points is exact trigonometric summation over the stored
-modes, never grid interpolation, so operator identities survive to rounding.
+coefficients on the square block |k|_inf <= K.  FourierScalarField and
+FourierVectorField share one base, FourierField, which holds the checks, the
+arithmetic and one coefficient-file format (to_json/from_json) for both.
+All spatial averages use the normalized Haar measure, i.e. "dx" integrals
+divide by (2pi)^2.  Evaluation along scattered points is exact trigonometric
+summation over the stored modes, never grid interpolation, so operator
+identities survive to rounding.
 
 Every pointwise evaluation, here and in flows.py, goes through trig_sum and
 trig_gradient over the half-lattice modes that stack_active_modes selects,
@@ -19,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -116,49 +120,131 @@ def to_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.real(np.fft.ifft2(spec, axes=(0, 1))) * n * n
 
 
-def is_positive_zero(c) -> bool:
-    """Whether every real and imaginary part of c is +0.0, the value a mode left
-    out of a saved field takes on load.  A -0.0 part is saved, so the round
-    trip keeps every bit."""
-    parts = np.concatenate([np.ravel(np.real(c)), np.ravel(np.imag(c))])
-    return not (parts.any() or np.signbit(parts).any())
-
-
-def _check_hermitian(coeffs: np.ndarray) -> None:
-    # index i <-> wavenumber i - K, so flipping both axes maps k -> -k
-    flipped = np.conj(coeffs[::-1, ::-1])
-    scale = max(np.max(np.abs(coeffs)), 1.0)
-    if np.max(np.abs(coeffs - flipped)) > HERMITIAN_TOL * scale:
-        raise SpectralError("coefficients are not Hermitian-symmetric (field not real)")
-
-
 @dataclass
-class FourierVectorField:
-    """Real vector field u(theta) = mean + sum_k c_k e^{i k.theta} on T^2.
+class FourierField:
+    """Real field f(theta) = sum_k c_k e^{i k.theta} on T^2 whose values have
+    shape VALUE_SHAPE: () for a scalar field, (2,) for a vector field.
 
-    coeffs has shape (2K+1, 2K+1, 2); entry [K, K] is the k = 0 mode and must
-    be real (it is exposed as .mean).  Instances are immutable by convention;
-    every operator below returns a fresh field.
+    coeffs has shape (2K+1, 2K+1) + VALUE_SHAPE; entry [K, K] is the k = 0
+    mode, whose real part is the mean.  Construction checks the shape, that
+    every coefficient is finite and that the coefficients are Hermitian (the
+    field is real).  Instances are immutable by convention; every operator
+    returns a fresh field of the same class.
     """
+
+    VALUE_SHAPE: ClassVar[tuple]
 
     K: int
     coeffs: np.ndarray
-    dim: int = 2
     _eval_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim != 2:
-            raise SpectralError("only dim = 2 is implemented")
-        expected = (2 * self.K + 1, 2 * self.K + 1, 2)
+        expected = (2 * self.K + 1, 2 * self.K + 1) + self.VALUE_SHAPE
         if self.coeffs.shape != expected:
             raise SpectralError(f"coeffs shape {self.coeffs.shape} != {expected}")
-        _check_hermitian(self.coeffs)
-
-    # -- structure ---------------------------------------------------------
+        if not np.isfinite(self.coeffs).all():
+            raise SpectralError("coefficients must be finite")
+        # index i <-> wavenumber i - K, so flipping both axes maps k -> -k
+        flipped = np.conj(self.coeffs[::-1, ::-1])
+        scale = max(np.max(np.abs(self.coeffs)), 1.0)
+        if np.max(np.abs(self.coeffs - flipped)) > HERMITIAN_TOL * scale:
+            raise SpectralError("coefficients are not Hermitian-symmetric (field not real)")
 
     @property
-    def mean(self) -> np.ndarray:
+    def mean(self):
         return self.coeffs[self.K, self.K].real.copy()
+
+    def _compiled(self):
+        """Cache (kvecs, coeffs, mean) over the active half-lattice modes."""
+        if self._eval_cache is None:
+            kv, cf = stack_active_modes([self.coeffs])
+            object.__setattr__(self, "_eval_cache", (kv, cf[0], self.mean))
+        return self._eval_cache
+
+    def to_grid(self, n: int) -> np.ndarray:
+        """Values on the uniform n x n grid (exact for n >= 2K+1)."""
+        return to_grid(self.coeffs, n)
+
+    def _coeffs_of(self, other: "FourierField") -> np.ndarray:
+        if other.K != self.K:
+            raise SpectralError("truncations differ")
+        return other.coeffs
+
+    def l2_inner(self, other: "FourierField") -> float:
+        """Normalized L^2 pairing int <f, g> dx / (2pi)^2, exact via Parseval."""
+        return float(np.real(np.sum(self.coeffs * np.conj(self._coeffs_of(other)))))
+
+    def l2_norm(self) -> float:
+        return float(np.sqrt(max(self.l2_inner(self), 0.0)))
+
+    def __add__(self, other: "FourierField") -> "FourierField":
+        return type(self)(self.K, self.coeffs + self._coeffs_of(other))
+
+    def __sub__(self, other: "FourierField") -> "FourierField":
+        return type(self)(self.K, self.coeffs - self._coeffs_of(other))
+
+    def __mul__(self, scalar: float) -> "FourierField":
+        return type(self)(self.K, self.coeffs * float(scalar))
+
+    __rmul__ = __mul__
+
+    def with_truncation(self, K_new: int) -> "FourierField":
+        """Embed into (or restrict to) the |k|_inf <= K_new block."""
+        out = np.zeros((2 * K_new + 1, 2 * K_new + 1) + self.VALUE_SHAPE, dtype=complex)
+        m = min(self.K, K_new)
+        out[K_new - m : K_new + m + 1, K_new - m : K_new + m + 1] = self.coeffs[
+            self.K - m : self.K + m + 1, self.K - m : self.K + m + 1
+        ]
+        return type(self)(K_new, out)
+
+    def to_json(self) -> str:
+        """The coefficient file of scalar and vector fields alike: K, the modes
+        but k = 0 with their real and imaginary parts, and the mean, each value
+        of the field's value shape; a vector document also records "dim": 2.
+        A mode whose parts are all +0.0 (all bytes zero) is left out, and it
+        takes that value on load, so the round trip keeps every bit."""
+        K = self.K
+        modes = [
+            {"k": [i - K, j - K], "re": c.real.tolist(), "im": c.imag.tolist()}
+            for i, row in enumerate(self.coeffs)
+            for j, c in enumerate(row)
+            if (i, j) != (K, K) and any(c.tobytes())
+        ]
+        doc = {"dim": 2} if self.VALUE_SHAPE else {}
+        doc.update(K=K, modes=modes, mean=self.mean.tolist())
+        return json.dumps(doc)
+
+    @classmethod
+    def from_json(cls, text: str) -> "FourierField":
+        """The field of a to_json document.  A document with no "mean", as
+        older pressure files are, lists any k = 0 mode among the modes."""
+        doc = json.loads(text)
+        K = int(doc["K"])
+        coeffs = np.zeros((2 * K + 1, 2 * K + 1) + cls.VALUE_SHAPE, dtype=complex)
+
+        def value(x) -> np.ndarray:
+            v = np.asarray(x, dtype=float)
+            if v.shape != cls.VALUE_SHAPE:
+                raise SpectralError(f"value of shape {v.shape} in a {cls.__name__} document")
+            return v
+
+        if "mean" in doc:
+            coeffs.real[K, K] = value(doc["mean"])
+        for m in doc["modes"]:
+            k1, k2 = m["k"]
+            if max(abs(k1), abs(k2)) > K:
+                raise SpectralError(f"mode {m['k']} lies outside |k|_inf <= {K}")
+            # real and imaginary parts set apart, so signed zeros survive
+            coeffs.real[k1 + K, k2 + K] = value(m["re"])
+            coeffs.imag[k1 + K, k2 + K] = value(m["im"])
+        return cls(K, coeffs)
+
+
+class FourierVectorField(FourierField):
+    """Real vector field u(theta) = sum_k c_k e^{i k.theta} on T^2, with
+    coeffs of shape (2K+1, 2K+1, 2)."""
+
+    VALUE_SHAPE = (2,)
 
     def divergence_defect(self) -> float:
         """max_k |k . c_k| / (|k| |c_k|), the relative divergence residual."""
@@ -172,13 +258,6 @@ class FourierVectorField:
 
     def is_divergence_free(self, tol: float = DIVFREE_TOL) -> bool:
         return self.divergence_defect() <= tol
-
-    def _compiled(self):
-        """Cache (kvecs, coeffs, mean) over the active half-lattice modes."""
-        if self._eval_cache is None:
-            kv, cf = stack_active_modes([self.coeffs])
-            object.__setattr__(self, "_eval_cache", (kv, cf[0], self.mean))
-        return self._eval_cache
 
     def is_shear(self) -> bool:
         """Whether all active wavevectors are parallel to one direction d and
@@ -200,7 +279,9 @@ class FourierVectorField:
         scale = np.linalg.norm(d) * np.max(np.abs(parts))
         return bool(np.max(np.abs(parts @ d)) <= DIVFREE_TOL * scale)
 
-    # -- pointwise evaluation (exact trig summation) ------------------------
+    # pointwise evaluation by exact trig summation; each class keeps its own
+    # evaluate_at and gradient_at, because nsvbench/tracing.py wraps them by
+    # name in the class's own namespace
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Field values at points, shape (n, 2) -> (n, 2)."""
@@ -216,103 +297,12 @@ class FourierVectorField:
     def gradient_tensor(self, theta) -> np.ndarray:
         return self.gradient_at(np.asarray(theta, dtype=float)[None, :])[0]
 
-    # -- grids and integrals -------------------------------------------------
 
-    def to_grid(self, n: int) -> np.ndarray:
-        """Values on the uniform n x n grid (exact for n >= 2K+1)."""
-        return to_grid(self.coeffs, n)
+class FourierScalarField(FourierField):
+    """Real scalar field p(theta) = sum_k c_k e^{i k.theta} on T^2, with
+    coeffs of shape (2K+1, 2K+1)."""
 
-    def l2_inner(self, other: "FourierVectorField") -> float:
-        """Normalized L^2 pairing int <u, v> dx / (2pi)^2, exact via Parseval."""
-        if other.K != self.K:
-            raise SpectralError("truncations differ")
-        return float(np.real(np.sum(self.coeffs * np.conj(other.coeffs))))
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(max(self.l2_inner(self), 0.0)))
-
-    def __add__(self, other: "FourierVectorField") -> "FourierVectorField":
-        if other.K != self.K:
-            raise SpectralError("truncations differ")
-        return FourierVectorField(self.K, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "FourierVectorField") -> "FourierVectorField":
-        if other.K != self.K:
-            raise SpectralError("truncations differ")
-        return FourierVectorField(self.K, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "FourierVectorField":
-        return FourierVectorField(self.K, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def with_truncation(self, K_new: int) -> "FourierVectorField":
-        """Embed into (or restrict to) the |k|_inf <= K_new block."""
-        out = np.zeros((2 * K_new + 1, 2 * K_new + 1, 2), dtype=complex)
-        m = min(self.K, K_new)
-        out[K_new - m : K_new + m + 1, K_new - m : K_new + m + 1] = self.coeffs[
-            self.K - m : self.K + m + 1, self.K - m : self.K + m + 1
-        ]
-        return FourierVectorField(K_new, out)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> str:
-        K = self.K
-        modes = []
-        for i in range(2 * K + 1):
-            for j in range(2 * K + 1):
-                if i == K and j == K:
-                    continue
-                c = self.coeffs[i, j]
-                if is_positive_zero(c):
-                    continue
-                modes.append(
-                    {
-                        "k": [i - K, j - K],
-                        "re": [c[0].real, c[1].real],
-                        "im": [c[0].imag, c[1].imag],
-                    }
-                )
-        doc = {"dim": 2, "K": K, "modes": modes, "mean": list(self.mean)}
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourierVectorField":
-        doc = json.loads(text)
-        K = int(doc["K"])
-        coeffs = np.zeros((2 * K + 1, 2 * K + 1, 2), dtype=complex)
-        coeffs[K, K] = np.asarray(doc["mean"], dtype=float)
-        for m in doc["modes"]:
-            k1, k2 = m["k"]
-            mode = coeffs[k1 + K, k2 + K]  # set in place, so signed zeros survive
-            mode.real, mode.imag = m["re"], m["im"]
-        return cls(K, coeffs)
-
-
-@dataclass
-class FourierScalarField:
-    """Real scalar field p(theta) = sum_k c_k e^{i k.theta} on T^2."""
-
-    K: int
-    coeffs: np.ndarray
-    _eval_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        expected = (2 * self.K + 1, 2 * self.K + 1)
-        if self.coeffs.shape != expected:
-            raise SpectralError(f"coeffs shape {self.coeffs.shape} != {expected}")
-        _check_hermitian(self.coeffs)
-
-    @property
-    def mean(self) -> float:
-        return float(self.coeffs[self.K, self.K].real)
-
-    def _compiled(self):
-        if self._eval_cache is None:
-            kv, cf = stack_active_modes([self.coeffs])
-            object.__setattr__(self, "_eval_cache", (kv, cf[0], self.mean))
-        return self._eval_cache
+    VALUE_SHAPE = ()
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         return trig_sum(points, *self._compiled())
@@ -326,19 +316,6 @@ class FourierScalarField:
         out[..., 0] = 1j * k1 * self.coeffs
         out[..., 1] = 1j * k2 * self.coeffs
         return FourierVectorField(self.K, out)
-
-    def to_grid(self, n: int) -> np.ndarray:
-        return to_grid(self.coeffs, n)
-
-    def l2_inner(self, other: "FourierScalarField") -> float:
-        if other.K != self.K:
-            raise SpectralError("truncations differ")
-        return float(np.real(np.sum(self.coeffs * np.conj(other.coeffs))))
-
-    def __mul__(self, scalar: float) -> "FourierScalarField":
-        return FourierScalarField(self.K, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
 
 # -- differential operators (mode-wise, exact) -------------------------------
@@ -422,14 +399,11 @@ def hodge_laplacian(f: FourierVectorField) -> FourierVectorField:
     k1, k2 = _wavegrid(f.K)
     c = f.coeffs
     div_hat = k1 * c[..., 0] + k2 * c[..., 1]  # -i * d*omega
-    dd_star = np.empty_like(c)
-    dd_star[..., 0] = k1 * div_hat
-    dd_star[..., 1] = k2 * div_hat
     curl_hat = k1 * c[..., 1] - k2 * c[..., 0]  # -i * (d omega coefficient)
-    d_star_d = np.empty_like(c)
-    d_star_d[..., 0] = -k2 * curl_hat
-    d_star_d[..., 1] = k1 * curl_hat
-    return FourierVectorField(f.K, dd_star + d_star_d)
+    out = np.empty_like(c)  # d d* term + d* d term, per component
+    out[..., 0] = k1 * div_hat + -k2 * curl_hat
+    out[..., 1] = k2 * div_hat + k1 * curl_hat
+    return FourierVectorField(f.K, out)
 
 
 def vector_laplacian(f: FourierVectorField) -> FourierVectorField:
@@ -505,18 +479,13 @@ class SpectralBasis:
         coeffs[-ki[0] + K, -ki[1] + K] = np.conj(c)
         return FourierVectorField(K, coeffs)
 
-    def fields_at(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All frame fields at points: (cosA, sinB), each (n, m, 2)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ph = pts @ self.kvecs.T
-        ap = self.amps[:, None] * self.kperp  # (m, 2)
-        return np.cos(ph)[..., None] * ap, np.sin(ph)[..., None] * ap
-
     def frame_sum(self, v, theta) -> float:
         """sum_k <A_k(theta), v>^2 + <B_k(theta), v>^2, equal to nu |v|^2."""
         v = np.asarray(v, dtype=float)
-        A, B = self.fields_at(np.asarray(theta, dtype=float)[None, :])
-        return float(np.sum((A[0] @ v) ** 2) + np.sum((B[0] @ v) ** 2))
+        ph = (np.asarray(theta, dtype=float)[None, :] @ self.kvecs.T)[0]
+        ap = self.amps[:, None] * self.kperp  # frame amplitudes, (m, 2)
+        A, B = np.cos(ph)[:, None] * ap, np.sin(ph)[:, None] * ap
+        return float(np.sum((A @ v) ** 2) + np.sum((B @ v) ** 2))
 
     def stratonovich_correction(self, theta) -> np.ndarray:
         """sum_k (grad_{A_k} A_k + grad_{B_k} B_k)(theta); zero to rounding.

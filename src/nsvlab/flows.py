@@ -7,7 +7,8 @@ The solver advances the Leray-projected momentum equation
 
 with classical RK4 in time.  Nonlinear products are formed on a padded grid
 and truncated back to |k|_inf <= K, which removes every aliased quadratic
-interaction (2/3-style dealiasing with extra margin).
+interaction (2/3-style dealiasing with extra margin).  A saved history writes
+its velocity frames and pressures alike in the fields' one file format.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (
+    FourierField,
     FourierScalarField,
     FourierVectorField,
     SpectralError,
     _wavegrid,
-    is_positive_zero,
     leray_coeffs,
     stack_active_modes,
     to_grid,
@@ -34,17 +35,13 @@ from .fields import (
 UNIFORM_TOL = 1e-12
 
 
-def _dealias_grid_size(K: int) -> int:
-    # quadratic products reach wavenumber 2K; keeping only |k| <= K is
-    # alias-free once the working grid has n >= 3K + 1 points per axis
-    return max(3 * K + 2, 8)
-
-
 def advection_coeffs(c: np.ndarray) -> np.ndarray:
     """Coefficients of (u . grad) u for u with coefficients c (dealiased
     product), with no field built."""
     K = (c.shape[0] - 1) // 2
-    n = _dealias_grid_size(K)
+    # quadratic products reach wavenumber 2K; keeping only |k| <= K is
+    # alias-free once the working grid has n >= 3K + 1 points per axis
+    n = max(3 * K + 2, 8)
     k1, k2 = _wavegrid(K)
     # u and its spectral derivatives d_1 u, d_2 u on the padded grid, from one
     # inverse FFT of the stacked (n, n, 6) spectrum
@@ -208,33 +205,22 @@ class TimeDependentVelocity:
     # -- persistence ----------------------------------------------------------
 
     def save(self, directory: str, name: str = "flow") -> str:
+        """Write each frame and pressure as a to_json file, and a manifest
+        that lists them with nu, the times and whether frames are checked to
+        be divergence-free; returns the manifest's path."""
         os.makedirs(directory, exist_ok=True)
-        frame_files = []
-        for j, f in enumerate(self.frames):
-            fn = f"{name}_frame_{j:05d}.json"
-            with open(os.path.join(directory, fn), "w") as fh:
-                fh.write(f.to_json())
-            frame_files.append(fn)
-        pressure_files = []
-        for j, p in enumerate(self.pressures):
-            fn = f"{name}_pressure_{j:05d}.json"
-            doc = {
-                "K": p.K,
-                "modes": [
-                    {"k": [i - p.K, jj - p.K], "re": p.coeffs[i, jj].real, "im": p.coeffs[i, jj].imag}
-                    for i in range(2 * p.K + 1)
-                    for jj in range(2 * p.K + 1)
-                    if not is_positive_zero(p.coeffs[i, jj])
-                ],
-            }
-            with open(os.path.join(directory, fn), "w") as fh:
-                json.dump(doc, fh)
-            pressure_files.append(fn)
+        files = {}
+        for kind, fields in (("frame", self.frames), ("pressure", self.pressures)):
+            files[kind] = [f"{name}_{kind}_{j:05d}.json" for j in range(len(fields))]
+            for fn, f in zip(files[kind], fields):
+                with open(os.path.join(directory, fn), "w") as fh:
+                    fh.write(f.to_json())
         manifest = {
             "nu": self.nu,
             "times": self.times.tolist(),
-            "frames": frame_files,
-            "pressures": pressure_files,
+            "frames": files["frame"],
+            "pressures": files["pressure"],
+            "validate_divergence_free": self.validate_divergence_free,
         }
         path = os.path.join(directory, f"{name}_manifest.json")
         with open(path, "w") as fh:
@@ -243,6 +229,8 @@ class TimeDependentVelocity:
 
     @classmethod
     def load(cls, manifest_path: str) -> "TimeDependentVelocity":
+        """The history a save manifest lists.  A manifest with no
+        validate_divergence_free entry, as older ones are, checks frames."""
         base = os.path.dirname(manifest_path)
         with open(manifest_path) as fh:
             manifest = json.load(fh)
@@ -250,27 +238,20 @@ class TimeDependentVelocity:
             if not isinstance(manifest, dict) or key not in manifest:
                 raise ValueError(f"flow manifest {manifest_path} has no '{key}' entry")
 
-        def read(fn: str, parse):
+        def read(fn: str, kind: type) -> FourierField:
             path = os.path.join(base, fn)
             with open(path) as fh:
                 text = fh.read()
             try:
-                return parse(text)
+                return kind.from_json(text)
             except (KeyError, TypeError, IndexError, ValueError) as exc:
                 raise ValueError(f"malformed flow file {path}: {exc!r}") from None
 
-        frames = [read(fn, FourierVectorField.from_json) for fn in manifest["frames"]]
-        pressures = [read(fn, _pressure_from_json) for fn in manifest["pressures"]]
-        return cls(np.asarray(manifest["times"]), frames, pressures, float(manifest["nu"]))
-
-
-def _pressure_from_json(text: str) -> FourierScalarField:
-    doc = json.loads(text)
-    K = int(doc["K"])
-    coeffs = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-    for m in doc["modes"]:
-        coeffs[m["k"][0] + K, m["k"][1] + K] = complex(m["re"], m["im"])
-    return FourierScalarField(K, coeffs)
+        frames = [read(fn, FourierVectorField) for fn in manifest["frames"]]
+        pressures = [read(fn, FourierScalarField) for fn in manifest["pressures"]]
+        # only an explicit false turns the divergence check off
+        check = manifest.get("validate_divergence_free", True) is not False
+        return cls(np.asarray(manifest["times"]), frames, pressures, float(manifest["nu"]), check)
 
 
 # -- canonical exact solution -------------------------------------------------

@@ -29,3 +29,15 @@ def ns_residual_norm(tg: TimeDependentVelocity, t: float) -> float:
         + tg.pressures[j].gradient_field().coeffs
     )
     return float(np.sqrt(np.sum(np.abs(resid) ** 2)))
+
+
+def with_negative_zeros(coeffs):
+    """A copy of coeffs with every +0.0 real or imaginary part made -0.0, but
+    the k = 0 imaginary part: a saved field keeps only the real k = 0 part,
+    its mean."""
+    K = (coeffs.shape[0] - 1) // 2
+    out = np.array(coeffs, dtype=complex)
+    for part in (out.real, out.imag):
+        part[part == 0] = -0.0
+    out.imag[K, K] = coeffs.imag[K, K]
+    return out

@@ -17,6 +17,7 @@ from nsvlab.cli import (
     ExperimentConfig,
     Report,
     _parser,
+    build_drift,
     emit_plots,
     load_config,
     main,
@@ -63,6 +64,19 @@ class TestValidate:
     def test_bad_drift_spec_flagged(self):
         issues = validate(make_config("action", drift="corrupted:abc"))
         assert any("drift" in i["message"] for i in issues)
+
+    @pytest.mark.parametrize("spec", ["corrupted:abc", "corrupted:", "corrupted", "spectral-file", "zero:1", "Zero", ""])
+    def test_unrecognized_drift_spec_one_message_in_validate_and_build(self, spec):
+        message = f"unrecognized drift spec '{spec}'"
+        assert validate(make_config("action", drift=spec)) == [{"level": "error", "message": message}]
+        with pytest.raises(ValueError) as exc:
+            build_drift(make_config("action", drift=spec))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("amp", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_corruption_amplitude_flagged(self, amp):
+        message = f"drift spec 'corrupted:{amp}' needs a finite amplitude"
+        assert validate(make_config("action", drift=f"corrupted:{amp}")) == [{"level": "error", "message": message}]
 
     @pytest.mark.parametrize("experiment", READS_N)
     @pytest.mark.parametrize("N", [1, 0, -3])
@@ -288,6 +302,15 @@ class TestMainEntry:
         assert main([experiment, "--N", "1", "--M", M, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: N must be at least 2: standard errors need two paths"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("amp", ["nan", "inf"])
+    def test_non_finite_corruption_exit_one_with_one_line(self, tmp_path, capsys, amp):
+        # a NaN bump once dropped out of the drift unseen, and every verdict passed
+        argv = ["criticality", "--N", "50", "--M", "20", "--drift", f"corrupted:{amp}", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: drift spec 'corrupted:{amp}' needs a finite amplitude"]
         assert not (tmp_path / "report.json").exists()
 
     def test_missing_config_file_exit_one(self):

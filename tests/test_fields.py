@@ -494,6 +494,96 @@ class TestStructure:
         for m in doc["modes"]:
             assert set(m) == {"k", "re", "im"}
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(0, 3),
+        vector=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        keep=st.sampled_from([0.0, 0.5, 1.0]),
+        negative_zeros=st.booleans(),
+    )
+    def test_json_round_trip_bit_exact_scalar_and_vector(self, K, vector, seed, keep, negative_zeros):
+        from helpers import with_negative_zeros
+
+        c = random_hermitian(K, vector, seed, keep)
+        # zero real or imaginary parts on {k, -k} pairs, so a mode may be partly zero
+        rng = np.random.default_rng(seed)
+        for part in (c.real, c.imag):
+            drop = rng.uniform(size=part.shape) < 0.3
+            part[drop | drop[::-1, ::-1]] = 0.0
+        if negative_zeros:
+            c = with_negative_zeros(c)
+        cls = FourierVectorField if vector else FourierScalarField
+        f = cls(K, c)
+        back = cls.from_json(f.to_json())
+        assert type(back) is cls and back.K == K
+        assert back.coeffs.tobytes() == f.coeffs.tobytes()
+
+    def test_frame_file_bytes_pinned(self):
+        c = np.zeros((3, 3, 2), complex)
+        c[2, 1] = (-0.0, 0.5 - 0.25j)
+        c[0, 1] = (-0.0, 0.5 + 0.25j)
+        c[1, 1] = (0.125, -0.0)
+        assert FourierVectorField(1, c).to_json() == (
+            '{"dim": 2, "K": 1, "modes": [{"k": [-1, 0], "re": [-0.0, 0.5], "im": [0.0, 0.25]}, '
+            '{"k": [1, 0], "re": [-0.0, 0.5], "im": [0.0, -0.25]}], "mean": [0.125, -0.0]}'
+        )
+
+    def test_scalar_file_bytes_pinned(self):
+        p = scalar_from_modes(1, [((1, 0), 0.5 - 0.25j), ((0, 1), -0.0)])
+        assert p.to_json() == (
+            '{"K": 1, "modes": [{"k": [-1, 0], "re": 0.5, "im": 0.25}, {"k": [0, -1], "re": -0.0, "im": 0.0}, '
+            '{"k": [0, 1], "re": -0.0, "im": 0.0}, {"k": [1, 0], "re": 0.5, "im": -0.25}], "mean": 0.0}'
+        )
+
+    def test_older_pressure_document_loads_bitwise(self):
+        # the former pressure format: no "mean"; the k = 0 mode, when it is
+        # not +0.0, sits among the modes
+        doc = (
+            '{"K": 1, "modes": [{"k": [-1, 0], "re": 0.25, "im": -0.5}, {"k": [0, 0], "re": -0.0, "im": 0.0}, '
+            '{"k": [1, 0], "re": 0.25, "im": 0.5}]}'
+        )
+        want = np.zeros((3, 3), complex)
+        want[0, 1], want[1, 1], want[2, 1] = complex(0.25, -0.5), complex(-0.0, 0.0), complex(0.25, 0.5)
+        assert FourierScalarField.from_json(doc).coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("source, target", [(FourierScalarField, FourierVectorField), (FourierVectorField, FourierScalarField)])
+    def test_document_of_other_value_shape_rejected(self, source, target):
+        f = source(2, random_hermitian(2, source is FourierVectorField, seed=4, keep=1.0))
+        with pytest.raises(SpectralError, match="value of shape"):
+            target.from_json(f.to_json())
+
+    def test_mode_outside_truncation_rejected(self):
+        doc = '{"K": 1, "modes": [{"k": [-2, 0], "re": 0.5, "im": 0.0}, {"k": [2, 0], "re": 0.5, "im": 0.0}], "mean": 0.0}'
+        with pytest.raises(SpectralError, match="outside"):
+            FourierScalarField.from_json(doc)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_non_finite_coefficient_rejected(self, bad, vector):
+        c = random_hermitian(2, vector, seed=1, keep=1.0)
+        c[3, 2] = c[1, 2] = bad  # a {k, -k} pair, so only finiteness fails
+        cls = FourierVectorField if vector else FourierScalarField
+        with pytest.raises(SpectralError, match="finite"):
+            cls(2, c)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_json_holding_non_finite_rejected(self, bad):
+        doc = f'{{"K": 1, "modes": [{{"k": [-1, 0], "re": {bad}, "im": 0.0}}, {{"k": [1, 0], "re": {bad}, "im": 0.0}}], "mean": 0.0}}'
+        with pytest.raises(SpectralError, match="finite"):
+            FourierScalarField.from_json(doc)
+        with pytest.raises(SpectralError, match="finite"):
+            FourierVectorField.from_json(f'{{"dim": 2, "K": 0, "modes": [], "mean": [{bad}, 0.0]}}')
+
+    def test_operators_keep_the_class(self):
+        p = FourierScalarField(2, random_hermitian(2, False, seed=2, keep=1.0))
+        u = FourierVectorField(2, random_hermitian(2, True, seed=3, keep=1.0))
+        for f in (p, u):
+            for g in (f + f, f - f, 2.0 * f, f * 0.5, f.with_truncation(3)):
+                assert type(g) is type(f)
+            assert f.l2_norm() == pytest.approx(np.sqrt(f.l2_inner(f)), rel=1e-15)
+        assert isinstance(p.mean, float) and p.mean.shape == () and u.mean.shape == (2,)
+
     def test_normalizer_value_small_truncation(self):
         # half lattice at K=1: (0,1),(1,-1),(1,0),(1,1); sum of |k|^(2-2b)/2
         basis = SpectralBasis(beta=3.0, K=1, nu=0.1)

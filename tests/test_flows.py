@@ -1,5 +1,6 @@
 """Exact decaying vortex, spectral solver, pressure, and Hessian bound."""
 
+import json
 import os
 import tempfile
 
@@ -20,7 +21,7 @@ from nsvlab.flows import (
     taylor_green,
 )
 
-from helpers import ns_residual_norm
+from helpers import grad_sin_x1, ns_residual_norm, with_negative_zeros
 
 NU = 0.1
 
@@ -229,6 +230,56 @@ class TestTimeDependentVelocity:
         for a, b in zip(back.pressures, tg.pressures):
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
+    def test_unchecked_steady_flow_round_trip_bitwise(self, tmp_path):
+        u = steady_flow(grad_sin_x1(), 1.0, 2, NU, require_divergence_free=False)
+        back = TimeDependentVelocity.load(u.save(os.fspath(tmp_path), "grad"))
+        assert back.validate_divergence_free is False
+        assert back.times.tobytes() == u.times.tobytes()
+        for a, b in zip(back.frames, u.frames):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+    def test_manifest_without_check_entry_checks_frames(self, tmp_path):
+        u = steady_flow(grad_sin_x1(), 1.0, 2, NU, require_divergence_free=False)
+        manifest = u.save(os.fspath(tmp_path), "grad")
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        del doc["validate_divergence_free"]
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(SpectralError, match="frame 0 is not divergence-free"):
+            TimeDependentVelocity.load(manifest)
+
+    def test_pressure_file_listed_as_frame_rejected(self, tmp_path):
+        manifest = taylor_green(NU, 0.5, 2).save(os.fspath(tmp_path), "tg")
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        doc["frames"] = doc["pressures"]
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ValueError, match="malformed flow file .*tg_pressure_00000.json"):
+            TimeDependentVelocity.load(manifest)
+
+    def test_older_flow_files_load_bitwise(self, tmp_path):
+        # a manifest with no divergence-check entry and a pressure file with no
+        # "mean", as written before frames and pressures shared one format
+        files = {
+            "old_manifest.json": {"nu": 0.1, "times": [0.0], "frames": ["f.json"], "pressures": ["p.json"]},
+            "f.json": '{"dim": 2, "K": 1, "modes": [{"k": [-1, 0], "re": [-0.0, 0.5], "im": [0.0, 0.25]}, '
+            '{"k": [1, 0], "re": [-0.0, 0.5], "im": [0.0, -0.25]}], "mean": [0.125, -0.0]}',
+            "p.json": '{"K": 1, "modes": [{"k": [0, -1], "re": 0.25, "im": -0.0}, {"k": [0, 0], "re": -0.0, "im": 0.0}, '
+            '{"k": [0, 1], "re": 0.25, "im": 0.0}]}',
+        }
+        for fn, doc in files.items():
+            (tmp_path / fn).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        flow = TimeDependentVelocity.load(os.fspath(tmp_path / "old_manifest.json"))
+        u = np.zeros((3, 3, 2), complex)
+        u[0, 1], u[2, 1], u[1, 1] = (-0.0, 0.5 + 0.25j), (-0.0, 0.5 - 0.25j), (0.125, -0.0)
+        p = np.zeros((3, 3), complex)
+        p[1, 0], p[1, 1], p[1, 2] = complex(0.25, -0.0), complex(-0.0, 0.0), complex(0.25, 0.0)
+        assert flow.validate_divergence_free is True
+        assert flow.frames[0].coeffs.tobytes() == u.tobytes()
+        assert flow.pressures[0].coeffs.tobytes() == p.tobytes()
+
 
 def zero_mean_pressure(K, rng, keep):
     """A random real zero-mean scalar field, each {k, -k} pair kept with
@@ -252,15 +303,20 @@ class TestPersistenceProperties:
         nu=st.floats(1e-6, 1e3),
         T=st.floats(1e-3, 1e3),
         keep=st.sampled_from([0.0, 0.4, 1.0]),
+        negative_zeros=st.booleans(),
+        check=st.booleans(),
     )
-    def test_save_load_round_trip_bitwise(self, K, M, seed, with_pressure, nu, T, keep):
+    def test_save_load_round_trip_bitwise(self, K, M, seed, with_pressure, nu, T, keep, negative_zeros, check):
         rng = np.random.default_rng(seed)
         frames = [random_divergence_free(K, seed=seed + j, scale=rng.uniform(0.1, 10.0)) for j in range(M + 1)]
         pressures = [zero_mean_pressure(K, rng, keep) for _ in frames] if with_pressure else []
-        u = TimeDependentVelocity(np.linspace(0.0, T, M + 1), frames, pressures, nu)
+        if negative_zeros:
+            frames = [type(f)(K, with_negative_zeros(f.coeffs)) for f in frames]
+            pressures = [type(p)(K, with_negative_zeros(p.coeffs)) for p in pressures]
+        u = TimeDependentVelocity(np.linspace(0.0, T, M + 1), frames, pressures, nu, check)
         with tempfile.TemporaryDirectory() as tmp:
             back = TimeDependentVelocity.load(u.save(tmp, "flow"))
-        assert back.nu == u.nu
+        assert back.nu == u.nu and back.validate_divergence_free == check
         assert back.times.tobytes() == u.times.tobytes()
         assert len(back.frames) == len(u.frames) and len(back.pressures) == len(u.pressures)
         for a, b in zip(back.frames + back.pressures, u.frames + u.pressures):
