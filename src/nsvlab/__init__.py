@@ -1,4 +1,11 @@
-"""Stochastic kinetic-action laboratory for incompressible flow on the 2-torus."""
+"""Stochastic kinetic-action laboratory for incompressible flow on the 2-torus.
+
+Importing the package loads every module a run uses.  numpy loads
+numpy.random and numpy.fft on first attribute access; the modules that use
+them import them by name (from numpy.random import ..., from numpy.fft
+import ...), so that cost falls at import and not inside the first run.
+tests/test_cold_start.py checks this in a fresh interpreter.
+"""
 
 from .estimates import EstimateWithError, ks_critical_value, ks_uniform_statistic
 from .fields import (

@@ -24,6 +24,7 @@ import time
 import typing
 
 import numpy as np
+from numpy.random import default_rng
 
 from .action import (
     action as kinetic_action,
@@ -172,6 +173,8 @@ def validate(config: ExperimentConfig) -> list[dict]:
         err("beta must exceed 1")
     if not 0 <= config.seed < 2**64:
         err("seed must be a non-negative 64-bit integer")
+    if config.threads < 0:
+        err("threads must be non-negative (0 leaves the thread count alone)")
     try:
         parse_drift(config.drift)
     except ValueError as exc:
@@ -180,14 +183,16 @@ def validate(config: ExperimentConfig) -> list[dict]:
         need = ENSEMBLE_BYTES_PER_STEP * config.N * (config.M + 1)
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > have:
+            gb = need / 1e9 if need < 1e300 else math.inf  # past float range, inf
             err(
-                f"N x M = {config.N} x {config.M} stores a {need / 1e9:.3g} GB ensemble, "
+                f"N x M = {config.N} x {config.M} stores a {gb:.3g} GB ensemble, "
                 f"more than the {have / 1e9:.3g} GB of physical memory"
             )
     if config.experiment == "minimality" and config.drift == "taylor-green":
         # decaying-vortex pressure Hessian tops out at 1
-        if 1.0 * config.T**2 > np.pi**2:
-            warn(f"RT^2 = {config.T ** 2:.3g} > pi^2: minimality hypothesis violated")
+        # T * T, not T**2, which raises OverflowError for T past 1e154
+        if 1.0 * config.T * config.T > np.pi**2:
+            warn(f"RT^2 = {config.T * config.T:.3g} > pi^2: minimality hypothesis violated")
     return issues
 
 
@@ -316,7 +321,7 @@ def emit_plots(report: Report, outdir: str) -> list[str]:
 
 def run_fields_check(config: ExperimentConfig, report: Report, outdir: str):
     basis = SpectralBasis(beta=config.beta, K=config.K, nu=config.nu)
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
 
     worst = 0.0
     for _ in range(100):

@@ -1,11 +1,16 @@
-"""Monte Carlo estimates with standard errors, plus uniformity diagnostics."""
+"""Monte Carlo estimates with standard errors, plus uniformity diagnostics.
+
+The Kolmogorov-Smirnov distance to a uniform law is computed here in numpy,
+by the same formula and in the same order of operations as
+scipy.stats.kstest(x, "uniform").statistic, so the two agree bitwise; scipy
+is needed only by the tests that check that agreement.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 TWO_PI = 2.0 * np.pi
 
@@ -38,9 +43,17 @@ class EstimateWithError:
 
 
 def ks_uniform_statistic(samples: np.ndarray, width: float = TWO_PI) -> float:
-    """Kolmogorov-Smirnov distance of samples to Uniform[0, width)."""
-    x = np.asarray(samples, dtype=float).ravel() / width
-    return float(stats.kstest(x, "uniform").statistic)
+    """Two-sided Kolmogorov-Smirnov distance of samples to Uniform[0, width):
+    D = max over the sorted u_(i) of i/n - u_(i) and u_(i) - (i-1)/n, with
+    u = samples / width clipped to [0, 1] as the uniform CDF clips it.  A NaN
+    sample gives NaN."""
+    u = np.clip(np.sort(np.asarray(samples, dtype=float).ravel() / width), 0.0, 1.0)
+    n = u.size
+    if n == 0:
+        raise ValueError("no samples")
+    d_plus = (np.arange(1.0, n + 1) / n - u).max()
+    d_minus = (u - np.arange(0.0, n) / n).max()
+    return float(max(d_plus, d_minus))
 
 
 def ks_critical_value(n: int, significance: float = 0.05) -> float:

@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import fft2
 
 from .fields import (
     FourierField,
@@ -48,7 +49,7 @@ def advection_coeffs(c: np.ndarray) -> np.ndarray:
     G = to_grid(np.concatenate([c, 1j * k1[..., None] * c, 1j * k2[..., None] * c], axis=-1), n)
     U, D1, D2 = G[..., 0:2], G[..., 2:4], G[..., 4:6]
     adv = U[..., :1] * D1 + U[..., 1:] * D2
-    ahat = np.fft.fft2(adv, axes=(0, 1)) / (n * n)
+    ahat = fft2(adv, axes=(0, 1)) / (n * n)
     idx = np.arange(-K, K + 1) % n
     return ahat[np.ix_(idx, idx)]
 

@@ -24,6 +24,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .estimates import EstimateWithError
 from .fields import FourierScalarField, SpectralBasis, TWO_PI
@@ -36,10 +37,9 @@ FORWARD = "forward"
 REVERSED = "reversed"
 
 
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
+def path_rng(seed: int, path_index: int) -> Generator:
     """Counter-based stream for one path: Philox(key=seed, counter word 3 = n)."""
-    bg = np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, path_index])
-    return np.random.Generator(bg)
+    return Generator(Philox(key=np.uint64(seed), counter=[0, 0, 0, path_index]))
 
 
 @dataclass
@@ -121,7 +121,7 @@ class PathEnsemble:
         return j
 
 
-def _draw_initial(rng: np.random.Generator, initial_law, dim: int) -> np.ndarray:
+def _draw_initial(rng: Generator, initial_law, dim: int) -> np.ndarray:
     if isinstance(initial_law, str) and initial_law == "uniform":
         return rng.uniform(0.0, TWO_PI, dim)
     tag = initial_law[0]

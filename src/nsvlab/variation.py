@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from numpy.random import default_rng
 
 from .action import TestPair, action_per_path, group_by_identity, running_integral
 from .estimates import EstimateWithError
@@ -265,7 +266,7 @@ DEFAULT_NOISE_FUNCTIONALS = (
 def pinned_family(base: PathEnsemble, count: int, seed: int = 0) -> list[tuple[str, PinnedPerturbation]]:
     """A reproducible batch of rank-one competitors with random directions: member
     i uses noise functional i mod 3, whose (c, beta) all its members share."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     members, shared = [], {}
     for i in range(count):
         name, fn = DEFAULT_NOISE_FUNCTIONALS[i % len(DEFAULT_NOISE_FUNCTIONALS)]

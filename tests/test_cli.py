@@ -1,13 +1,19 @@
 """Command line front end: validation, artifacts, determinism, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsvlab.cli import (
     EXPERIMENTS,
@@ -95,6 +101,23 @@ class TestValidate:
         assert [i["level"] for i in issues] == ["error"]
         assert "physical memory" in issues[0]["message"]
 
+    @pytest.mark.parametrize("experiment", STORED_ENSEMBLE)
+    def test_ensemble_past_float_range_rejected_in_one_line(self, experiment):
+        issues = validate(make_config(experiment, N=10**400))
+        assert [i["level"] for i in issues] == ["error"]
+        assert "stores a inf GB ensemble" in issues[0]["message"]
+
+    def test_horizon_past_float_range_warns(self):
+        issues = validate(make_config("minimality", T=1e200))
+        assert issues == [{"level": "warning", "message": "RT^2 = inf > pi^2: minimality hypothesis violated"}]
+
+    def test_negative_thread_count_rejected(self, capsys):
+        issues = validate(make_config("simulate", threads=-3))
+        assert issues == [{"level": "error", "message": "threads must be non-negative (0 leaves the thread count alone)"}]
+        assert main(["simulate", "--N", "10", "--M", "4", "--threads", "-3"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: threads must be non-negative (0 leaves the thread count alone)"]
+
 
 class TestCheckedInConfigs:
     """The acceptance gate runs every experiment on its configs/ file."""
@@ -151,6 +174,137 @@ class TestConfigLoading:
         monkeypatch.setenv("NSVLAB_OUT", "/tmp/somewhere")
         cfg = ExperimentConfig(experiment="action")
         assert cfg.resolved_output_dir() == "/tmp/somewhere"
+
+
+FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+# values of each field type, of any size the type allows
+TYPED_VALUES = {
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(),
+    bool: st.booleans(),
+}
+
+
+def _not_parsed_as(kind):
+    """Strings that kind() does not parse to a finite value."""
+
+    def rejected(text):
+        try:
+            return not math.isfinite(kind(text))
+        except (ValueError, OverflowError):
+            return True
+
+    return st.text().filter(rejected)
+
+
+def _load_and_validate(path: Path, field: str, value, experiment: str = "action"):
+    """load_config then validate on a file holding {"experiment": experiment,
+    field: value}: (config, issues), or the ValueError load_config raised."""
+    doc = {"experiment": experiment, field: value}
+    path.write_text(json.dumps(doc))
+    try:
+        config = load_config(str(path), {})
+    except ValueError as exc:
+        return exc
+    return config, validate(config)
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "c.json"
+
+
+class TestConfigProperties:
+    """Any JSON value in any ExperimentConfig field gives a config, whose
+    validation lists issues without raising, or one ValueError naming the field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(experiment=st.sampled_from(EXPERIMENTS), field=st.sampled_from(sorted(FIELD_TYPES)), value=JSON_VALUES)
+    def test_config_or_error_naming_the_field(self, config_file, experiment, field, value):
+        got = _load_and_validate(config_file, field, value, experiment)
+        if isinstance(got, ValueError):
+            assert f"'{field}'" in str(got)
+        else:
+            config, issues = got
+            assert type(getattr(config, field)) is FIELD_TYPES[field]
+            assert all(set(i) == {"level", "message"} and i["level"] in ("error", "warning") for i in issues)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        doc=st.fixed_dictionaries(
+            {
+                **{f: TYPED_VALUES[t] for f, t in FIELD_TYPES.items()},
+                "experiment": st.sampled_from(EXPERIMENTS),
+                "drift": st.sampled_from(["taylor-green", "zero", "corrupted:0.5"]) | st.text(),
+            }
+        )
+    )
+    def test_well_typed_config_loads_as_written_and_validates(self, config_file, doc):
+        config_file.write_text(json.dumps(doc))
+        config = load_config(str(config_file), {})
+        assert dataclasses.asdict(config) == doc
+        assert all(i["level"] in ("error", "warning") for i in validate(config))
+
+    @settings(max_examples=100, deadline=None)
+    @given(T=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_minimality_warning_for_any_finite_horizon(self, T):
+        issues = validate(make_config("minimality", T=T))
+        assert [i["level"] for i in issues] == (["warning"] if T > np.pi else [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        field=st.sampled_from(sorted(f for f, t in FIELD_TYPES.items() if t in (int, float))),
+        value=st.booleans()
+        | st.floats(allow_nan=True, allow_infinity=True).filter(lambda x: not math.isfinite(x))
+        | st.sampled_from(["nan", "inf", "-Infinity", "1e999"]),
+    )
+    def test_bools_and_non_finite_numbers_rejected(self, config_file, field, value):
+        got = _load_and_validate(config_file, field, value)
+        assert isinstance(got, ValueError) and f"'{field}'" in str(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        field=st.sampled_from(sorted(f for f, t in FIELD_TYPES.items() if t is int)),
+        value=st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()) | _not_parsed_as(int),
+    )
+    def test_fractional_floats_and_non_integer_strings_rejected_for_ints(self, config_file, field, value):
+        got = _load_and_validate(config_file, field, value)
+        assert isinstance(got, ValueError) and f"'{field}'" in str(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        field=st.sampled_from(sorted(f for f, t in FIELD_TYPES.items() if t is float)),
+        value=_not_parsed_as(float),
+    )
+    def test_non_numeric_strings_rejected_for_floats(self, config_file, field, value):
+        got = _load_and_validate(config_file, field, value)
+        assert isinstance(got, ValueError) and f"'{field}'" in str(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        field=st.sampled_from(sorted(f for f, t in FIELD_TYPES.items() if t in (str, bool))),
+        value=st.integers() | st.floats() | st.none() | st.lists(st.text(), max_size=2),
+    )
+    def test_numbers_rejected_for_strings_and_flags(self, config_file, field, value):
+        got = _load_and_validate(config_file, field, value)
+        assert isinstance(got, ValueError) and f"'{field}'" in str(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(max_value=-1) | st.integers(min_value=2**64))
+    def test_seed_outside_64_bits_gives_one_error_line(self, config_file, seed):
+        config_file.write_text(json.dumps({"experiment": "action", "seed": seed}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["action", "--config", str(config_file)]) == 1
+        assert err.getvalue().splitlines() == ["error: seed must be a non-negative 64-bit integer"]
 
 
 class TestRun:

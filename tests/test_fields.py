@@ -519,6 +519,22 @@ class TestStructure:
         assert type(back) is cls and back.K == K
         assert back.coeffs.tobytes() == f.coeffs.tobytes()
 
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_imaginary_mean_part_dropped_so_round_trip_is_bitwise(self, vector):
+        # within HERMITIAN_TOL, so accepted; the file keeps only the real part
+        K = 2
+        c = random_hermitian(K, vector, seed=8, keep=1.0)
+        c[K, K] = (0.5 + 1e-13j, -0.25 - 2e-13j) if vector else 0.5 + 1e-13j
+        given = c.copy()
+        cls = FourierVectorField if vector else FourierScalarField
+        f = cls(K, c)
+        assert c.tobytes() == given.tobytes()  # the caller's array is untouched
+        assert not f.coeffs[K, K].imag.any()
+        np.testing.assert_array_equal(f.coeffs[K, K].real, given[K, K].real)
+        back = cls.from_json(f.to_json())
+        assert back.coeffs.tobytes() == f.coeffs.tobytes()
+        assert back.l2_inner(back) == f.l2_inner(f)
+
     def test_frame_file_bytes_pinned(self):
         c = np.zeros((3, 3, 2), complex)
         c[2, 1] = (-0.0, 0.5 - 0.25j)

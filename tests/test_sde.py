@@ -369,3 +369,46 @@ class TestAntithetic:
         # same budget, both near the closed form; pairing must not break either
         assert abs(paired.value - exact) <= 3 * paired.std_error + 0.5 * 1e-2
         assert abs(plain.value - exact) <= 3 * plain.std_error + 0.5 * 1e-2
+
+
+def _ks_cases():
+    """Samples for [0, 2pi), one pytest.param each: sizes 1 to 20001 with
+    ties, the ends of the interval, samples outside it, and a NaN."""
+    W = 2 * np.pi
+    rng = np.random.default_rng(16)
+    cases = []
+    for n in (1, 2, 3, 1000, 20001):
+        x = rng.uniform(0.0, W, n)
+        cases.append((f"uniform_{n}", x))
+        cases.append((f"ties_{n}", np.round(x, 1)))
+    below = np.nextafter(W, 0.0)
+    cases += [
+        ("ends", np.array([0.0, below, 0.0, below, 1.0])),
+        ("at_zero", np.zeros(4)),
+        ("just_below_width", np.full(3, below)),
+        ("outside", np.array([-1.0, -0.0, 0.5, W, W + 3.0, 2.0])),
+        ("outside_only", np.array([-5.0, 100.0])),
+        ("nan", np.array([0.5, np.nan, 3.0])),
+    ]
+    return [pytest.param(x, id=name) for name, x in cases]
+
+
+class TestKsUniformStatistic:
+    """The numpy KS distance against scipy's kstest, bitwise."""
+
+    @pytest.mark.parametrize("x", _ks_cases())
+    def test_equals_scipy_kstest_bitwise(self, x):
+        stats = pytest.importorskip("scipy.stats")
+        W = 2 * np.pi
+        got = ks_uniform_statistic(x, W)
+        want = float(stats.kstest(x / W, "uniform").statistic)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes() or (np.isnan(got) and np.isnan(want))
+
+    def test_other_width(self):
+        stats = pytest.importorskip("scipy.stats")
+        x = np.random.default_rng(3).uniform(0.0, 5.0, 101)
+        assert ks_uniform_statistic(x, 5.0) == stats.kstest(x / 5.0, "uniform").statistic
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="no samples"):
+            ks_uniform_statistic(np.array([]))
