@@ -10,12 +10,12 @@ a Monte Carlo pairing of the occupation samples (t, x, v) against a test
 field/profile pair, and a deterministic space-time quadrature of the same
 integrand against a velocity history.
 
-The Monte Carlo estimators (dpm_residual, first_variation_direct) have bank
-forms that take a list of test pairs: each distinct field is evaluated once
-per point set, with one phase pass that contracts each mode of w and of
-2 Def*Def w against v (no field value or Jacobian is formed), and its spatial
-terms serve every profile paired with it.  The one-pair functions are the
-first entry of a one-pair bank, so each formula is written once.
+The Monte Carlo estimators (dpm_residual, first_variation_direct) take one
+test pair, and return one estimate, or a list of pairs, and return a list.
+A list evaluates each distinct field once per point set, with one phase pass
+that contracts each mode of w and of 2 Def*Def w against v (no field value or
+Jacobian is formed), and its spatial terms serve every profile paired with
+it.  One pair is a list of one, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ class OccupationSet:
     def __len__(self) -> int:
         return self.t.size
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield (self.t[i], self.x[i], self.v[i])
-
 
 def occupation_measure(ens: PathEnsemble, thin: int = 1) -> OccupationSet:
     """Emit (t_j, g_{t_j}, D_{t_j} g) for strided grid times across all paths."""
@@ -150,6 +146,21 @@ def group_by_identity(objects: list) -> list[tuple[object, list[int]]]:
     return list(groups.values())
 
 
+def estimate_by_field(pairs, prepare, estimate):
+    """estimate(prepare(w), pair) for one TestPair, or a list of them for a
+    list of pairs, with prepare called once per distinct field w and its
+    result freed before the next field is prepared."""
+    one = isinstance(pairs, TestPair)
+    bank = [pairs] if one else list(pairs)
+    out = [None] * len(bank)
+    for w, idx in group_by_identity([pair.w for pair in bank]):
+        prepared = prepare(w)
+        for i in idx:
+            out[i] = estimate(prepared, bank[i])
+        del prepared
+    return out[0] if one else out
+
+
 def _weak_terms(w: FourierVectorField, x: np.ndarray, v: np.ndarray):
     """Per sample a = w(x).v, b = v.(grad w)(x)v and c = (2 Def*Def w)(x).v,
     contracted against v mode by mode, so no field value or Jacobian is formed.
@@ -190,9 +201,9 @@ def _weak_terms(w: FourierVectorField, x: np.ndarray, v: np.ndarray):
     return a, b, c
 
 
-def _weak_integrals(bank: list[TestPair], nu: float, times: np.ndarray, x: np.ndarray, v: np.ndarray, fold) -> list:
-    """fold(pair, integrand) for each pair of bank, where the per-sample weak-form
-    integrand at (t, x, v) is
+def _weak_integrals(pairs, nu: float, times: np.ndarray, x: np.ndarray, v: np.ndarray, fold):
+    """fold(pair, integrand) for one test pair or each of a list of pairs (see
+    estimate_by_field), where the per-sample weak-form integrand at (t, x, v) is
 
         alpha'(t) w(x).v + alpha(t) (grad_v w)(x).v - nu alpha(t) (2 Def*Def w)(x).v.
 
@@ -202,19 +213,23 @@ def _weak_integrals(bank: list[TestPair], nu: float, times: np.ndarray, x: np.nd
     c = (2 Def*Def w).v serve all its profiles, which are evaluated on the
     distinct times only.
     """
-    out = [None] * len(bank)
-    for w, idx in group_by_identity([pair.w for pair in bank]):
-        a, b, c = (y.reshape(-1, times.size) for y in _weak_terms(w, x, v))
-        for i in idx:
-            pair = bank[i]
-            alpha = pair.alpha(times)
-            out[i] = fold(pair, pair.dalpha(times) * a + alpha * b - nu * alpha * c)
-        del a, b, c  # free them before the next field is evaluated
-    return out
+
+    def spatial_terms(w):
+        return [y.reshape(-1, times.size) for y in _weak_terms(w, x, v)]
+
+    def integral(terms, pair):
+        a, b, c = terms
+        alpha = pair.alpha(times)
+        return fold(pair, pair.dalpha(times) * a + alpha * b - nu * alpha * c)
+
+    return estimate_by_field(pairs, spatial_terms, integral)
 
 
-def dpm_residual_bank(samples: OccupationSet, bank: list[TestPair], nu: float) -> list[EstimateWithError]:
-    """Monte Carlo residuals of the occupation measure against each test pair.
+def dpm_residual(
+    samples: OccupationSet, pairs: TestPair | list[TestPair], nu: float
+) -> EstimateWithError | list[EstimateWithError]:
+    """Monte Carlo residual of the occupation measure against one test pair, or
+    the list of residuals against a list of pairs.
 
     Reported in the time-integrated normalization (multiplied by T), matching
     weak_ns_residual, so the two estimators are directly comparable.  Samples
@@ -232,17 +247,14 @@ def dpm_residual_bank(samples: OccupationSet, bank: list[TestPair], nu: float) -
         per_path = np.trapezoid(vals, dx=span / (samples.n_times - 1), axis=1) * pair.T / span
         return EstimateWithError.from_samples(per_path)
 
-    return _weak_integrals(bank, nu, samples.t[: samples.n_times], samples.x, samples.v, fold)
+    return _weak_integrals(pairs, nu, samples.t[: samples.n_times], samples.x, samples.v, fold)
 
 
-def dpm_residual(samples: OccupationSet, pair: TestPair, nu: float) -> EstimateWithError:
-    """Monte Carlo residual of the occupation measure against one test pair
-    (see dpm_residual_bank)."""
-    return dpm_residual_bank(samples, [pair], nu)[0]
-
-
-def first_variation_direct_bank(ens: PathEnsemble, bank: list[TestPair], nu: float) -> list[EstimateWithError]:
-    """Analytic Gateaux derivatives of the action along each test pair.
+def first_variation_direct(
+    ens: PathEnsemble, pairs: TestPair | list[TestPair], nu: float
+) -> EstimateWithError | list[EstimateWithError]:
+    """Analytic Gateaux derivative of the action along one test pair, or the
+    list of derivatives along a list of pairs.
 
     Per path, the trapezoidal time integral of the weak-form integrand at
     (t, g_t, D_t g) (see _weak_integrals).
@@ -253,13 +265,7 @@ def first_variation_direct_bank(ens: PathEnsemble, bank: list[TestPair], nu: flo
     def fold(pair, integrand):
         return EstimateWithError.from_samples(np.trapezoid(integrand, dx=ens.dt, axis=1))
 
-    return _weak_integrals(bank, nu, ens.times, pts, v, fold)
-
-
-def first_variation_direct(ens: PathEnsemble, pair: TestPair, nu: float) -> EstimateWithError:
-    """Analytic Gateaux derivative of the action along one test pair (see
-    first_variation_direct_bank)."""
-    return first_variation_direct_bank(ens, [pair], nu)[0]
+    return _weak_integrals(pairs, nu, ens.times, pts, v, fold)
 
 
 def weak_ns_residual(u: TimeDependentVelocity, pair: TestPair) -> float:

@@ -26,6 +26,11 @@ import typing
 import numpy as np
 from numpy.random import default_rng
 
+try:  # looked up once here, not inside a run
+    from threadpoolctl import threadpool_limits
+except ImportError:
+    threadpool_limits = None
+
 from .action import (
     action as kinetic_action,
     action_prefixes,
@@ -447,35 +452,32 @@ def run_criticality(config: ExperimentConfig, report: Report, outdir: str):
     bank = default_test_bank(basis, config.T)
     ens, _ = _simulate_from_config(config, FORWARD)
     occ = occupation_measure(ens, thin=max(1, config.M // 200))
-    rows = []
-    for pair in bank:
-        res = dpm_residual(occ, pair, config.nu)
-        rows.append((pair.name, res))
+    residuals = dpm_residual(occ, bank, config.nu)
+    # the negative control reads only the DPM residuals, so no variation is computed
+    variations = [None] * len(bank) if config.negative_control else first_variation_direct(ens, bank, config.nu)
+    for pair, res, fv in zip(bank, residuals, variations):
         report.add_estimate(f"dpm_{pair.name}", res)
         report.add_verdict(f"dpm_zero_{pair.name}", abs(res.value) <= 3 * res.std_error)
-        if not config.negative_control:
-            fv = first_variation_direct(ens, pair, config.nu)
+        if fv is not None:
             report.add_estimate(f"variation_{pair.name}", fv)
             report.add_verdict(f"variation_zero_{pair.name}", abs(fv.value) <= 3 * fv.std_error)
     if config.negative_control:
-        # the control reads only the DPM residuals, so no variation was computed
-        detected = any(abs(r.value) > 5 * r.std_error for _, r in rows)
+        detected = any(abs(r.value) > 5 * r.std_error for r in residuals)
         report.add_verdict("negative_control_detected", detected)
     else:
         # finite differences on a reduced common-random-number ensemble
         small, _ = _simulate_from_config(config, FORWARD, N=min(config.N, 1200), M=min(config.M, 150))
-        for pair in bank:
-            fd = first_variation_fd(small, pair, config.nu, n_flow_steps=2)
-            dv = first_variation_direct(small, pair, config.nu)
+        fds = [first_variation_fd(small, pair, config.nu, n_flow_steps=2) for pair in bank]
+        for pair, fd, dv in zip(bank, fds, first_variation_direct(small, bank, config.nu)):
             report.add_estimate(f"variation_fd_{pair.name}", fd)
             report.add_verdict(
                 f"fd_matches_direct_{pair.name}",
                 abs(fd.value - dv.value) <= 3 * fd.combined_se(dv),
             )
     report.plot_data["residual_over_se"] = [
-        (i, rows[i][1].value / max(rows[i][1].std_error, 1e-300)) for i in range(len(rows))
+        (i, res.value / max(res.std_error, 1e-300)) for i, res in enumerate(residuals)
     ]
-    _write_residual_csv(rows, config, outdir)
+    _write_residual_csv([(pair.name, res) for pair, res in zip(bank, residuals)], config, outdir)
 
 
 def _write_residual_csv(rows, config: ExperimentConfig, outdir: str):
@@ -621,11 +623,9 @@ def run(config: ExperimentConfig) -> int:
     if errors:
         return 1
     if config.threads > 0:
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(config.threads)
-        except ImportError:
+        if threadpool_limits is not None:
+            threadpool_limits(config.threads)
+        else:
             print("warning: threadpoolctl unavailable, --threads recorded only", file=sys.stderr)
     outdir = config.resolved_output_dir()
     report = Report(config)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from numpy.random import default_rng
 
-from .action import TestPair, action_per_path, group_by_identity, running_integral
+from .action import TestPair, action_per_path, estimate_by_field, group_by_identity, running_integral
 from .estimates import EstimateWithError
 from .fields import FourierVectorField, TWO_PI
 from .flows import TimeDependentVelocity
@@ -82,17 +82,17 @@ def flow_psi(pair: TestPair, eps: float, t, points: np.ndarray, n_steps: int = 4
 # -- finite-difference first variation ------------------------------------------
 
 
-def first_variation_fd_bank(
+def first_variation_fd(
     ens: PathEnsemble,
-    bank: list[TestPair],
+    pairs: TestPair | list[TestPair],
     nu: float,
     eps_list: tuple = (0.1, 0.05, 0.025),
     fd_h: float = 1e-3,
     n_flow_steps: int = 4,
     richardson_tol: float = 0.05,
-) -> list[EstimateWithError]:
-    """Central-difference dS(Psi_eps(g))/d eps at eps = 0 for each test pair,
-    Richardson refined.
+) -> EstimateWithError | list[EstimateWithError]:
+    """Central-difference dS(Psi_eps(g))/d eps at eps = 0 along one test pair,
+    or the list of them along a list of pairs, Richardson refined.
 
     Psi_eps pushes the ensemble forward, t -> Psi_eps^t(g_t) with Psi_eps^t the
     flow of w for time eps alpha(t) (see flow_psi).  The perturbed drift is
@@ -112,8 +112,8 @@ def first_variation_fd_bank(
     the perturbation flow and acts only on non-shear test fields.
 
     Everything that does not depend on eps is built once: the stencil of
-    sample points and its drift-direction and axis neighbours for the whole
-    bank, and for each distinct field its flow map on the stencil, which for
+    sample points and its drift-direction and axis neighbours for all the
+    pairs, and for each distinct field its flow map on the stencil, which for
     a shear field holds w(stencil), so each eps costs one multiply-add there.
     """
     if len(eps_list) < 2:
@@ -172,29 +172,7 @@ def first_variation_fd_bank(
                 )
         return best
 
-    out = [None] * len(bank)
-    for w, idx in group_by_identity([pair.w for pair in bank]):
-        flow = _flow_map(w, stencil, n_flow_steps)
-        for i in idx:
-            out[i] = derivative(flow, bank[i])
-        del flow  # a shear field's values on the stencil: free them before the next field's
-    return out
-
-
-def first_variation_fd(
-    ens: PathEnsemble,
-    pair: TestPair,
-    nu: float,
-    eps_list: tuple = (0.1, 0.05, 0.025),
-    fd_h: float = 1e-3,
-    n_flow_steps: int = 4,
-    richardson_tol: float = 0.05,
-) -> EstimateWithError:
-    """Finite-difference first variation along one test pair (see
-    first_variation_fd_bank)."""
-    return first_variation_fd_bank(
-        ens, [pair], nu, eps_list, fd_h, n_flow_steps, richardson_tol
-    )[0]
+    return estimate_by_field(pairs, lambda w: _flow_map(w, stencil, n_flow_steps), derivative)
 
 
 # -- endpoint-pinned competitors -------------------------------------------------

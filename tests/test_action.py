@@ -10,9 +10,7 @@ from nsvlab.action import (
     action_prefixes,
     default_test_bank,
     dpm_residual,
-    dpm_residual_bank,
     first_variation_direct,
-    first_variation_direct_bank,
     occupation_measure,
     running_integral,
     weak_ns_residual,
@@ -105,6 +103,7 @@ class TestOccupation:
         ens = simulate_ito(params, N=1, M=4, seed=0)
         samples = occupation_measure(ens, thin=1)
         assert len(samples) == 5
+        assert samples.t.shape == (5,) and samples.x.shape == samples.v.shape == (5, 2)
 
     def test_normalization(self, tg_forward):
         samples = occupation_measure(tg_forward, thin=4)
@@ -120,12 +119,6 @@ class TestOccupation:
         act = action(tg_forward)
         # int |v|^2 dt == 2 S per path by definition
         assert mean_v2.value == pytest.approx(2 * act.value, rel=1e-12)
-
-    def test_iteration_yields_triples(self, tg_forward):
-        samples = occupation_measure(tg_forward, thin=200)
-        t, x, v = next(iter(samples))
-        assert np.isscalar(t) or t.shape == ()
-        assert x.shape == (2,) and v.shape == (2,)
 
 
 class TestDpmResidual:
@@ -269,9 +262,9 @@ def assert_estimates_close(got, want):
 
 
 class TestBankForms:
-    """Each bank field is evaluated once per point set; every estimate agrees
-    with the old one-pair-at-a-time loop to rounding, and the one-pair forms
-    keep the bank's bits."""
+    """Called with a list of pairs, each field is evaluated once per point set;
+    every estimate agrees with the old one-pair-at-a-time loop to rounding, and
+    a one-pair call keeps the bits of the list call's entry."""
 
     @pytest.fixture(scope="class")
     def small_tg(self):
@@ -282,14 +275,14 @@ class TestBankForms:
     def test_dpm_bank_matches_per_pair_loop(self, small_tg, bank, which):
         pairs = bank if which == "default" else random_field_bank(bank)
         samples = occupation_measure(small_tg, thin=2)
-        got = dpm_residual_bank(samples, pairs, NU)
+        got = dpm_residual(samples, pairs, NU)
         assert_estimates_close(got, old_dpm_loop(samples, pairs, NU))
         assert [dpm_residual(samples, p, NU) for p in pairs] == got
 
     @pytest.mark.parametrize("which", ["default", "random"])
     def test_direct_bank_matches_per_pair_loop(self, small_tg, bank, which):
         pairs = bank if which == "default" else random_field_bank(bank)
-        got = first_variation_direct_bank(small_tg, pairs, NU)
+        got = first_variation_direct(small_tg, pairs, NU)
         assert_estimates_close(got, old_direct_loop(small_tg, pairs, NU))
         assert [first_variation_direct(small_tg, p, NU) for p in pairs] == got
 

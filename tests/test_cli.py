@@ -384,6 +384,64 @@ class TestCriticalityFd:
             assert run(cfg) == 1
 
 
+class TestCriticalityCalls:
+    """run_criticality makes list calls, and its report keeps the bits of one-pair
+    library calls on the same seeded ensemble, in the interleaved order."""
+
+    def test_report_matches_one_pair_library_calls(self, tmp_path):
+        from nsvlab.action import default_test_bank, dpm_residual, first_variation_direct, occupation_measure
+        from nsvlab.fields import SpectralBasis
+        from nsvlab.sde import FORWARD, SdeParams, simulate_ito
+
+        cfg = make_config("criticality", N=60, M=24, output_dir=str(tmp_path))
+        assert run(cfg) in (0, 2)
+        report = json.loads((tmp_path / "report.json").read_text())
+        got = {e["name"]: (e["value"], e["se"]) for e in report["estimates"]}
+
+        bank = default_test_bank(SpectralBasis(beta=cfg.beta, K=cfg.K, nu=cfg.nu), cfg.T)
+        params = SdeParams(nu=cfg.nu, T=cfg.T, drift_source=build_drift(cfg), orientation=FORWARD)
+        ens = simulate_ito(params, cfg.N, cfg.M, seed=cfg.seed)
+        occ = occupation_measure(ens, thin=max(1, cfg.M // 200))
+        for pair in bank:
+            res = dpm_residual(occ, pair, cfg.nu)
+            fv = first_variation_direct(ens, pair, cfg.nu)
+            assert got[f"dpm_{pair.name}"] == (res.value, res.std_error)
+            assert got[f"variation_{pair.name}"] == (fv.value, fv.std_error)
+
+        names = [p.name for p in bank]
+        assert [e["name"] for e in report["estimates"]] == [
+            *(f"{kind}_{n}" for n in names for kind in ("dpm", "variation")),
+            *(f"variation_fd_{n}" for n in names),
+        ]
+        assert [v["name"] for v in report["verdicts"]] == [
+            *(f"{kind}_zero_{n}" for n in names for kind in ("dpm", "variation")),
+            *(f"fd_matches_direct_{n}" for n in names),
+        ]
+
+
+class TestThreadLimit:
+    """threadpoolctl is looked up once, at import; run only applies the limit
+    or prints one warning line."""
+
+    def test_limit_applied_with_thread_count(self, tmp_path, monkeypatch):
+        import nsvlab.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "threadpool_limits", calls.append)
+        assert run(make_config("fields-check", threads=3, output_dir=str(tmp_path))) == 0
+        assert calls == [3]
+
+    def test_missing_package_one_warning_line(self, tmp_path, monkeypatch, capsys):
+        import nsvlab.cli as cli
+
+        unlimited = run(make_config("fields-check", threads=0, output_dir=str(tmp_path / "a")))
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "threadpool_limits", None)
+        assert run(make_config("fields-check", threads=2, output_dir=str(tmp_path / "b"))) == unlimited
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["warning: threadpoolctl unavailable, --threads recorded only"]
+
+
 class TestSimulateUniformMarginals:
     def test_non_uniform_initial_law_fails(self, tmp_path, monkeypatch):
         import functools

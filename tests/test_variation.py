@@ -13,7 +13,6 @@ from nsvlab.variation import (
     PinnedPerturbation,
     _pressure_along,
     first_variation_fd,
-    first_variation_fd_bank,
     flow_points,
     flow_psi,
     mean_acceleration_check,
@@ -163,8 +162,8 @@ def old_flow_points(w, tau, points, n_steps):
 
 
 def old_fd(ens, pair, nu, eps_list=(0.1, 0.05, 0.025), fd_h=1e-3, n_flow_steps=4):
-    """first_variation_fd as it was before the bank form: the stencil built and
-    the field evaluated on it afresh for every +-eps."""
+    """first_variation_fd as it was before it took a list of pairs: the
+    stencil built and the field evaluated on it afresh for every +-eps."""
 
     def perturbed(eps):
         N, Mp1, dim = ens.unwrapped.shape
@@ -192,8 +191,9 @@ def old_fd(ens, pair, nu, eps_list=(0.1, 0.05, 0.025), fd_h=1e-3, n_flow_steps=4
 
 
 class TestFdBank:
-    """first_variation_fd_bank builds the stencil once and, per shear field,
-    w on it once; every estimate keeps the bits of the old per-pair loop."""
+    """first_variation_fd on a list of pairs builds the stencil once and, per
+    shear field, w on it once; every estimate keeps the bits of the old
+    per-pair loop."""
 
     @pytest.fixture(scope="class")
     def small_tg(self, tg_flow):
@@ -201,7 +201,7 @@ class TestFdBank:
         return simulate_ito(params, N=150, M=60, seed=21)
 
     def test_default_bank_matches_per_pair_loop_bitwise(self, small_tg, bank):
-        got = first_variation_fd_bank(small_tg, bank, NU, n_flow_steps=2)
+        got = first_variation_fd(small_tg, bank, NU, n_flow_steps=2)
         assert got == [old_fd(small_tg, pair, NU, n_flow_steps=2) for pair in bank]
         assert [first_variation_fd(small_tg, pair, NU, n_flow_steps=2) for pair in bank] == got
 
@@ -211,7 +211,7 @@ class TestFdBank:
         w = random_divergence_free(2, 5)
         assert not w.is_shear() and w._compiled()[0].shape[0] > 1
         pairs = [TestPair(f"rnd{i}", w, p.alpha, p.dalpha, T) for i, p in enumerate(bank[:2])]
-        got = first_variation_fd_bank(ens, pairs, NU, eps_list=(0.1, 0.05), n_flow_steps=2)
+        got = first_variation_fd(ens, pairs, NU, eps_list=(0.1, 0.05), n_flow_steps=2)
         assert got == [old_fd(ens, p, NU, eps_list=(0.1, 0.05), n_flow_steps=2) for p in pairs]
 
     @pytest.mark.parametrize("shear", [True, False])
@@ -219,7 +219,7 @@ class TestFdBank:
         w = bank[0].w if shear else random_divergence_free(2, 5)
         blowup = TestPair("inf", w, lambda t: np.where((t > 0) & (t < T), np.inf, 0.0), bank[0].dalpha, T)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-            first_variation_fd_bank(small_tg, [bank[1], blowup], NU, n_flow_steps=2)
+            first_variation_fd(small_tg, [bank[1], blowup], NU, n_flow_steps=2)
 
 
 class TestFirstVariation:
