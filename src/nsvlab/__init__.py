@@ -40,7 +40,6 @@ from .sde import (
     load_ensemble,
     measure_density,
     path_rng,
-    resimulate_from_noise,
     save_ensemble,
     simulate_ito,
     simulate_stratonovich_basis,

@@ -174,6 +174,11 @@ def validate(config: ExperimentConfig) -> list[dict]:
     for name in ("M", "K"):
         if getattr(config, name) <= 0:
             err(f"{name} must be positive")
+    if config.T > 0 and config.M > 0:
+        # an M past float range divides as the largest float, so T/M stays a float
+        step = config.T / min(config.M, sys.float_info.max)
+        if step < np.finfo(float).tiny:
+            err(f"time step T/M = {step:.3g} is below the smallest normal float")
     if config.beta <= 1:
         err("beta must exceed 1")
     if not 0 <= config.seed < 2**64:
@@ -247,23 +252,36 @@ def build_drift(config: ExperimentConfig) -> TimeDependentVelocity | None:
 # -- report plumbing -------------------------------------------------------------
 
 
+ESTIMATE_COLUMNS = ["value", "std_error", "n", "nu", "seed"]
+
+
 class Report:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.estimates: list[dict] = []
         self.verdicts: list[dict] = []
         self.plot_data: dict[str, list] = {}
+        # the CSV files under tables/, by name: a header and rows of cells
+        self.tables: dict[str, tuple[list, list]] = {
+            "estimates": (["name", *ESTIMATE_COLUMNS], []),
+            "verdicts": (["name", "pass"], []),
+        }
+
+    def estimate_row(self, name: str, est: EstimateWithError) -> list:
+        """A CSV row: name, then est's cells under ESTIMATE_COLUMNS."""
+        return [name, repr(est.value), repr(est.std_error), est.n, repr(self.config.nu), self.config.seed]
 
     def add_estimate(self, name: str, est: EstimateWithError):
-        self.estimates.append(
-            {"name": name, "value": est.value, "se": est.std_error, "n": est.n}
-        )
+        self.estimates.append({"name": name, "value": est.value, "se": est.std_error, "n": est.n})
+        self.tables["estimates"][1].append(self.estimate_row(name, est))
 
     def add_value(self, name: str, value: float):
-        self.estimates.append({"name": name, "value": float(value), "se": 0.0, "n": 1})
+        self.add_estimate(name, EstimateWithError(float(value), 0.0, 1))
 
     def add_verdict(self, name: str, ok: bool):
-        self.verdicts.append({"name": name, "pass": bool(ok)})
+        ok = bool(ok)
+        self.verdicts.append({"name": name, "pass": ok})
+        self.tables["verdicts"][1].append([name, int(ok)])
 
     def all_pass(self) -> bool:
         return all(v["pass"] for v in self.verdicts)
@@ -292,16 +310,11 @@ class Report:
             json.dump(self.to_dict(), fh, indent=1)
         tables = os.path.join(outdir, "tables")
         os.makedirs(tables, exist_ok=True)
-        with open(os.path.join(tables, "estimates.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["name", "value", "std_error", "n", "nu", "seed"])
-            for e in self.estimates:
-                w.writerow([e["name"], repr(e["value"]), repr(e["se"]), e["n"], repr(self.config.nu), self.config.seed])
-        with open(os.path.join(tables, "verdicts.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["name", "pass"])
-            for v in self.verdicts:
-                w.writerow([v["name"], int(v["pass"])])
+        for name, (header, rows) in self.tables.items():
+            with open(os.path.join(tables, f"{name}.csv"), "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                w.writerows(rows)
         emit_plots(self, outdir)
 
 
@@ -394,16 +407,13 @@ def run_ns_solve(config: ExperimentConfig, report: Report, outdir: str):
         solved.save(os.path.join(outdir, "flow"), "solved")
 
 
-def _simulate_from_config(config: ExperimentConfig, orientation: str, N=None, M=None, drift=None):
-    source = build_drift(config) if drift is None else drift
-    params = SdeParams(
-        nu=config.nu, T=config.T, drift_source=source, orientation=orientation
-    )
-    return simulate_ito(params, N or config.N, M or config.M, seed=config.seed), params
+def _simulate_from_config(config: ExperimentConfig, drift, orientation: str, N=None, M=None):
+    params = SdeParams(nu=config.nu, T=config.T, drift_source=drift, orientation=orientation)
+    return simulate_ito(params, N or config.N, M or config.M, seed=config.seed)
 
 
 def run_simulate(config: ExperimentConfig, report: Report, outdir: str):
-    ens, _ = _simulate_from_config(config, FORWARD)
+    ens = _simulate_from_config(config, build_drift(config), FORWARD)
     disp = ens.unwrapped[:, -1] - ens.unwrapped[:, 0]
     var = disp.var(axis=0, ddof=1)
     for d in range(2):
@@ -428,14 +438,15 @@ def run_simulate(config: ExperimentConfig, report: Report, outdir: str):
 
 
 def run_action(config: ExperimentConfig, report: Report, outdir: str):
-    ens, _ = _simulate_from_config(config, FORWARD)
+    drift = build_drift(config)
+    ens = _simulate_from_config(config, drift, FORWARD)
     est = kinetic_action(ens)
     report.add_estimate("action", est)
     if config.drift == "zero":
         report.add_verdict("zero_drift_zero_action", est.value == 0.0 and est.std_error == 0.0)
     elif config.drift == "taylor-green":
         exact = (1.0 - np.exp(-4.0 * config.nu * config.T)) / (16.0 * config.nu)
-        coarse, _ = _simulate_from_config(config, FORWARD, M=config.M // 2)
+        coarse = _simulate_from_config(config, drift, FORWARD, M=config.M // 2)
         est2 = kinetic_action(coarse)
         dt = config.T / config.M
         bias_rate = abs(est2.value - est.value) / dt  # est(2 dt) - est(dt) ~ C dt
@@ -450,7 +461,8 @@ def run_action(config: ExperimentConfig, report: Report, outdir: str):
 def run_criticality(config: ExperimentConfig, report: Report, outdir: str):
     basis = SpectralBasis(beta=config.beta, K=config.K, nu=config.nu)
     bank = default_test_bank(basis, config.T)
-    ens, _ = _simulate_from_config(config, FORWARD)
+    drift = build_drift(config)
+    ens = _simulate_from_config(config, drift, FORWARD)
     occ = occupation_measure(ens, thin=max(1, config.M // 200))
     residuals = dpm_residual(occ, bank, config.nu)
     # the negative control reads only the DPM residuals, so no variation is computed
@@ -466,7 +478,7 @@ def run_criticality(config: ExperimentConfig, report: Report, outdir: str):
         report.add_verdict("negative_control_detected", detected)
     else:
         # finite differences on a reduced common-random-number ensemble
-        small, _ = _simulate_from_config(config, FORWARD, N=min(config.N, 1200), M=min(config.M, 150))
+        small = _simulate_from_config(config, drift, FORWARD, N=min(config.N, 1200), M=min(config.M, 150))
         fds = [first_variation_fd(small, pair, config.nu, n_flow_steps=2) for pair in bank]
         for pair, fd, dv in zip(bank, fds, first_variation_direct(small, bank, config.nu)):
             report.add_estimate(f"variation_fd_{pair.name}", fd)
@@ -477,24 +489,17 @@ def run_criticality(config: ExperimentConfig, report: Report, outdir: str):
     report.plot_data["residual_over_se"] = [
         (i, res.value / max(res.std_error, 1e-300)) for i, res in enumerate(residuals)
     ]
-    _write_residual_csv([(pair.name, res) for pair, res in zip(bank, residuals)], config, outdir)
-
-
-def _write_residual_csv(rows, config: ExperimentConfig, outdir: str):
-    tables = os.path.join(outdir, "tables")
-    os.makedirs(tables, exist_ok=True)
-    with open(os.path.join(tables, "residuals.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pair_name", "value", "std_error", "n", "nu", "seed"])
-        for name, res in rows:
-            w.writerow([name, repr(res.value), repr(res.std_error), res.n, repr(config.nu), config.seed])
+    report.tables["residuals"] = (
+        ["pair_name", *ESTIMATE_COLUMNS],
+        [report.estimate_row(pair.name, res) for pair, res in zip(bank, residuals)],
+    )
 
 
 def run_minimality(config: ExperimentConfig, report: Report, outdir: str):
     drift = build_drift(config)
     if drift is None or not drift.pressures:
         raise ValueError("minimality requires a drift with pressure frames")
-    ens, _ = _simulate_from_config(config, REVERSED)
+    ens = _simulate_from_config(config, drift, REVERSED)
     members = pinned_family(ens, 20, seed=config.seed)
     rep = minimality_check(ens, members, drift)
     report.add_estimate("S_g", rep["S_g"])
@@ -569,7 +574,9 @@ def run_measure_preservation(config: ExperimentConfig, report: Report, outdir: s
     report.add_verdict("gradient_drift_moves_density", frac >= 0.9)
 
     f_probe = _cos_x1()
-    ito_pos, _ = _simulate_from_config(config, FORWARD, N=min(config.N, 20000), M=min(config.M, 500))
+    ito_pos = _simulate_from_config(
+        config, build_drift(config), FORWARD, N=min(config.N, 20000), M=min(config.M, 500)
+    )
     t_mid = ito_pos.times[ito_pos.n_steps // 2]  # on the grid for odd M too
     pos = drift_orthogonality(ito_pos, f_probe, t_mid)
     report.add_estimate("orthogonality_positive", pos)
@@ -631,7 +638,7 @@ def run(config: ExperimentConfig) -> int:
     report = Report(config)
     try:
         RUNNERS[config.experiment](config, report, outdir)
-    except (ValueError, FloatingPointError, OSError) as exc:
+    except (ValueError, FloatingPointError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report.write(outdir)

@@ -130,6 +130,8 @@ class TimeDependentVelocity:
         if len(self.frames) != self.times.size:
             raise SpectralError("one frame per grid time required")
         steps = np.diff(self.times)
+        if not np.all(steps > 0):
+            raise SpectralError("time grid steps must be positive")
         if steps.size and np.max(np.abs(steps - steps[0])) > UNIFORM_TOL:
             raise SpectralError("time grid must be uniform")
         if len(self.pressures) not in (0, len(self.frames)):

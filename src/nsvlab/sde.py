@@ -8,8 +8,7 @@ inserted at each grid time together with the Brownian increments, so all
 action and residual estimators downstream are pure folds over stored data.
 
 _draw_noise makes every random draw and _march is the one record-then-step
-loop; each engine only supplies its drift and step, and resimulation runs
-the Ito step again on stored increments.
+loop; each engine only supplies its drift and step.
 
 Randomness is counter-based: path n draws from Philox keyed by the master
 seed with the fourth counter word set to n.  Streams are therefore
@@ -20,6 +19,7 @@ params) reproduce ensembles bitwise.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -133,25 +133,12 @@ def _draw_initial(rng: Generator, initial_law, dim: int) -> np.ndarray:
     raise ValueError(f"unknown initial law {initial_law!r}")
 
 
-def _draw_noise(
-    seed: int, N: int, M: int, channels: int, dt: float, initial_law, dim: int,
-    antithetic: bool = False,
-):
-    """Per-path counter-based draws: initial position first, then increments.
-
-    With antithetic pairing, odd-indexed paths share the even partner's
-    initial position and carry its negated increments.
-    """
-    if antithetic and N % 2:
-        raise ValueError("antithetic pairing requires an even path count")
+def _draw_noise(seed: int, N: int, M: int, channels: int, dt: float, initial_law, dim: int):
+    """Per-path counter-based draws: initial position first, then increments."""
     starts = np.empty((N, dim))
     dW = np.empty((N, M, channels))
     root = np.sqrt(dt)
     for n in range(N):
-        if antithetic and n % 2:
-            starts[n] = starts[n - 1]
-            dW[n] = -dW[n - 1]
-            continue
         rng = path_rng(seed, n)
         starts[n] = _draw_initial(rng, initial_law, dim)
         dW[n] = rng.standard_normal((M, channels)) * root
@@ -174,8 +161,10 @@ def _march(pos: np.ndarray, M: int, dt: float, drift_at, step) -> tuple[np.ndarr
     return unwrapped, drift
 
 
-def _ito_march(params: SdeParams, starts: np.ndarray, dW: np.ndarray, dt: float):
-    """Euler-Maruyama x + drift dt + sqrt(2 nu) dW, marched over the steps of dW."""
+def simulate_ito(params: SdeParams, N: int, M: int, seed: int = 42) -> PathEnsemble:
+    """Euler-Maruyama for dg = drift(t, g) dt + sqrt(2 nu) dw on the torus."""
+    dt = params.T / M
+    starts, dW = _draw_noise(seed, N, M, 2, dt, params.initial_law, 2)
     sig = np.sqrt(2.0 * params.nu)
     sign = params.drift_sign()
     src = params.drift_source
@@ -183,16 +172,7 @@ def _ito_march(params: SdeParams, starts: np.ndarray, dW: np.ndarray, dt: float)
     def drift_at(t: float, x: np.ndarray):
         return 0.0 if src is None else sign * src.velocity_at(params.drift_time(t), x)
 
-    return _march(starts, dW.shape[1], dt, drift_at, lambda j, x, d: x + d * dt + sig * dW[:, j])
-
-
-def simulate_ito(
-    params: SdeParams, N: int, M: int, seed: int = 42, antithetic: bool = False
-) -> PathEnsemble:
-    """Euler-Maruyama for dg = drift(t, g) dt + sqrt(2 nu) dw on the torus."""
-    dt = params.T / M
-    starts, dW = _draw_noise(seed, N, M, 2, dt, params.initial_law, 2, antithetic)
-    unwrapped, drift = _ito_march(params, starts, dW, dt)
+    unwrapped, drift = _march(starts, M, dt, drift_at, lambda j, x, d: x + d * dt + sig * dW[:, j])
     return PathEnsemble(
         kind="ito",
         nu=params.nu,
@@ -201,7 +181,7 @@ def simulate_ito(
         unwrapped=unwrapped,
         drift=drift,
         dW=dW,
-        meta={"orientation": params.orientation, "T": params.T, "antithetic": antithetic},
+        meta={"orientation": params.orientation, "T": params.T},
     )
 
 
@@ -246,18 +226,6 @@ def simulate_stratonovich_basis(
         dW=dW,
         meta={"T": params.T, "beta": basis.beta, "basis_K": basis.K},
     )
-
-
-def resimulate_from_noise(ens: PathEnsemble, params: SdeParams, j_max: int | None = None) -> np.ndarray:
-    """Re-run the Ito recursion from stored increments; returns positions.
-
-    Used by the adaptedness check: the prefix up to any step is a function of
-    the stored noise prefix alone.
-    """
-    if ens.kind != "ito":
-        raise ValueError("resimulation is defined for the ito engine")
-    unwrapped, _ = _ito_march(params, ens.unwrapped[:, 0], ens.dW[:, :j_max], ens.dt)
-    return unwrapped
 
 
 def brownian_bridge(
@@ -330,8 +298,10 @@ _MAGIC = b"NSVLENS1"
 
 
 def save_ensemble(ens: PathEnsemble, stem: str) -> tuple[str, str]:
-    """Columnar little-endian binary plus a JSON sidecar; bit-exact round trip."""
+    """Columnar little-endian binary plus a JSON sidecar; bit-exact round trip.
+    The directory of stem is made if it is missing."""
     bin_path, json_path = stem + ".bin", stem + ".json"
+    os.makedirs(os.path.dirname(stem) or ".", exist_ok=True)
     N, Mp1, dim = ens.unwrapped.shape
     M = Mp1 - 1
     C = ens.dW.shape[2]

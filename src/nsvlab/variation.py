@@ -22,6 +22,16 @@ from .fields import FourierVectorField, TWO_PI
 from .flows import TimeDependentVelocity
 from .sde import PathEnsemble, REVERSED
 
+# central-difference step of the first variation's spatial derivatives, and
+# the relative tolerance within which its two Richardson extrapolants agree
+FD_STEP = 1e-3
+EXTRAPOLANT_TOL = 0.05
+# minimality gates: standard errors of a paired comparison, and the slack of
+# the Poincare ratio's bound 1
+GATE_SE = 3.0
+POINCARE_MARGIN = 1e-6
+# coarse time bins of the mean-acceleration residual
+ACCELERATION_BINS = 16
 
 # -- perturbation flows --------------------------------------------------------
 
@@ -87,9 +97,7 @@ def first_variation_fd(
     pairs: TestPair | list[TestPair],
     nu: float,
     eps_list: tuple = (0.1, 0.05, 0.025),
-    fd_h: float = 1e-3,
     n_flow_steps: int = 4,
-    richardson_tol: float = 0.05,
 ) -> EstimateWithError | list[EstimateWithError]:
     """Central-difference dS(Psi_eps(g))/d eps at eps = 0 along one test pair,
     or the list of them along a list of pairs, Richardson refined.
@@ -101,13 +109,13 @@ def first_variation_fd(
         D_t(Psi(g)) = dPsi/dt + (grad Psi) D_t g + nu * (componentwise Lap Psi)
 
     with every spatial derivative of the flow map taken by central finite
-    differences of step fd_h around each sample (the time part is analytic:
+    differences of step FD_STEP around each sample (the time part is analytic:
     d/dt Psi_eps^t(x) = eps alpha'(t) w(Psi_eps^t(x))).
 
     Common random numbers throughout: every epsilon reuses the same stored
     paths, so per-path derivative samples difference away most noise.  The
     two Richardson extrapolants from consecutive epsilon pairs must agree
-    within richardson_tol relative to scale, else the step schedule is
+    within EXTRAPOLANT_TOL relative to scale, else the step schedule is
     rejected as too coarse or too fine.  n_flow_steps sets the RK4 steps of
     the perturbation flow and acts only on non-shear test fields.
 
@@ -132,12 +140,12 @@ def first_variation_fd(
     stencil = np.concatenate(
         [
             pts,
-            pts + fd_h * unit,
-            pts - fd_h * unit,
-            pts + np.array([fd_h, 0.0]),
-            pts - np.array([fd_h, 0.0]),
-            pts + np.array([0.0, fd_h]),
-            pts - np.array([0.0, fd_h]),
+            pts + FD_STEP * unit,
+            pts - FD_STEP * unit,
+            pts + np.array([FD_STEP, 0.0]),
+            pts - np.array([FD_STEP, 0.0]),
+            pts + np.array([0.0, FD_STEP]),
+            pts - np.array([0.0, FD_STEP]),
         ]
     )
     del unit
@@ -146,8 +154,8 @@ def first_variation_fd(
         """Per-path action of the ensemble pushed forward by Psi_eps."""
         base, dp, dm, e1p, e1m, e2p, e2m = np.split(flow(np.tile(eps * alpha, 7)), 7)
         time_part = (eps * dalpha)[:, None] * w.evaluate_at(base)
-        transport_part = speed[:, None] * (dp - dm) / (2.0 * fd_h)
-        laplace_part = nu * (e1p + e1m + e2p + e2m - 4.0 * base) / fd_h**2
+        transport_part = speed[:, None] * (dp - dm) / (2.0 * FD_STEP)
+        laplace_part = nu * (e1p + e1m + e2p + e2m - 4.0 * base) / FD_STEP**2
         drift_new = time_part + transport_part + laplace_part
         return action_per_path(drift_new.reshape(N, Mp1, dim), ens.dt)
 
@@ -166,7 +174,7 @@ def first_variation_fd(
         if len(extrapolants) >= 2:
             prev = EstimateWithError.from_samples(extrapolants[-2])
             scale = max(abs(best.value), 3.0 * best.std_error, 1e-12)
-            if abs(best.value - prev.value) > richardson_tol * scale + 3.0 * best.combined_se(prev):
+            if abs(best.value - prev.value) > EXTRAPOLANT_TOL * scale + 3.0 * best.combined_se(prev):
                 raise FloatingPointError(
                     "Richardson extrapolants disagree; adjust the epsilon schedule"
                 )
@@ -290,13 +298,7 @@ def _pressure_along(ens: PathEnsemble, members: list, u: TimeDependentVelocity) 
     return sums
 
 
-def minimality_check(
-    ens: PathEnsemble,
-    members: list,
-    u: TimeDependentVelocity,
-    n_se: float = 3.0,
-    poincare_slack: float = 1e-6,
-) -> dict:
+def minimality_check(ens: PathEnsemble, members: list, u: TimeDependentVelocity) -> dict:
     """Compare the reversed-drift ensemble against endpoint-pinned competitors.
 
     Reports pressure-shifted energies B, plain actions S, the predicted
@@ -351,13 +353,13 @@ def minimality_check(
             "S_star": est_S_star,
             "B_star": est_B_star,
             "endpoint_error": member.endpoint_error(),
-            "B_ok": est_B.value <= est_B_star.value + n_se * est_B.combined_se(est_B_star),
-            "S_ok": est_S.value <= est_S_star.value + n_se * est_S.combined_se(est_S_star),
-            "gap_ok": abs(gap.value) <= n_se * gap.std_error,
+            "B_ok": est_B.value <= est_B_star.value + GATE_SE * est_B.combined_se(est_B_star),
+            "S_ok": est_S.value <= est_S_star.value + GATE_SE * est_S.combined_se(est_S_star),
+            "gap_ok": abs(gap.value) <= GATE_SE * gap.std_error,
             "gap": gap,
             "half_offset_energy": EstimateWithError.from_samples(half_offset),
             "poincare_max": poincare_max,
-            "poincare_ok": bool(poincare_max <= 1.0 + poincare_slack),
+            "poincare_ok": bool(poincare_max <= 1.0 + POINCARE_MARGIN),
         }
         row["ok"] = row["B_ok"] and row["S_ok"] and row["gap_ok"] and row["poincare_ok"]
         all_ok &= row["ok"]
@@ -372,9 +374,7 @@ def minimality_check(
     }
 
 
-def mean_acceleration_check(
-    ens: PathEnsemble, u: TimeDependentVelocity, n_bins: int = 16
-) -> dict:
+def mean_acceleration_check(ens: PathEnsemble, u: TimeDependentVelocity) -> dict:
     """Weak test that the drift's conditional increment rate is the pressure gradient.
 
     Per step, (u(T-t_{j+1}, g_{j+1}) - u(T-t_j, g_j)) / dt has conditional
@@ -401,9 +401,9 @@ def mean_acceleration_check(
     increments = np.diff(uv, axis=1)
     resid = increments / ens.dt - gradp  # (N, M, dim)
 
-    edges = np.linspace(0, M, n_bins + 1).astype(int)
+    edges = np.linspace(0, M, ACCELERATION_BINS + 1).astype(int)
     bins = []
-    for b in range(n_bins):
+    for b in range(ACCELERATION_BINS):
         sl = resid[:, edges[b] : edges[b + 1]].reshape(-1, dim)
         est = [EstimateWithError.from_samples(sl[:, d]) for d in range(dim)]
         bins.append(

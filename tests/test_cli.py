@@ -257,7 +257,9 @@ class TestConfigProperties:
     @given(T=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     def test_minimality_warning_for_any_finite_horizon(self, T):
         issues = validate(make_config("minimality", T=T))
-        assert [i["level"] for i in issues] == (["warning"] if T > np.pi else [])
+        # a step T/M that underflows below the smallest normal float is an error
+        step_error = ["error"] if T / FAST["M"] < np.finfo(float).tiny else []
+        assert [i["level"] for i in issues] == step_error + (["warning"] if T > np.pi else [])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -323,6 +325,15 @@ class TestRun:
         report = json.loads((tmp_path / "report.json").read_text())
         est = {e["name"]: e for e in report["estimates"]}["action"]
         assert est["value"] == 0.0 and est["se"] == 0.0
+
+    def test_saved_paths_in_a_new_output_directory(self, tmp_path):
+        # the runner saves the ensemble before Report.write makes the output directory
+        from nsvlab.sde import load_ensemble
+
+        out = tmp_path / "new"
+        assert run(make_config("simulate", drift="zero", N=20, M=8, save_paths=True, output_dir=str(out))) in (0, 2)
+        ens = load_ensemble(str(out / "ensemble"))
+        assert ens.unwrapped.shape == (20, 9, 2) and ens.meta == {"orientation": "forward", "T": 1.0}
 
     def test_invalid_config_exit_one(self, tmp_path):
         cfg = make_config("action", nu=-1.0, output_dir=str(tmp_path))
@@ -442,6 +453,19 @@ class TestThreadLimit:
         assert err == ["warning: threadpoolctl unavailable, --threads recorded only"]
 
 
+class TestDriftBuiltOnce:
+    """Each run builds its drift once and passes it to every simulation."""
+
+    @pytest.mark.parametrize("experiment", ["simulate", "action", "criticality", "minimality", "measure-preservation"])
+    def test_one_build_per_run(self, tmp_path, monkeypatch, experiment):
+        import nsvlab.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "build_drift", lambda config: built.append(config) or build_drift(config))
+        assert run(make_config(experiment, N=16, M=16, output_dir=str(tmp_path))) in (0, 2)
+        assert len(built) == 1
+
+
 class TestSimulateUniformMarginals:
     def test_non_uniform_initial_law_fails(self, tmp_path, monkeypatch):
         import functools
@@ -523,6 +547,22 @@ class TestMainEntry:
         assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: drift spec 'corrupted:{amp}' needs a finite amplitude"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("experiment", ["minimality", "simulate", "action", "measure-preservation"])
+    @pytest.mark.parametrize("T, step", [("5e-324", "0"), ("1e-320", "9.98e-322")])
+    def test_degenerate_time_step_exit_one_with_one_line(self, tmp_path, capsys, experiment, T, step):
+        # T/M underflowed to 0 or to a subnormal: a traceback, a NaN cast, or nonsense verdicts
+        assert main([experiment, "--T", T, "--N", "10", "--M", "10", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: time step T/M = {step} is below the smallest normal float"]
+        assert not (tmp_path / "report.json").exists()
+
+    def test_allocation_failure_exit_one_with_one_line(self, tmp_path, capsys):
+        # the K = 10^7 wavenumber grid asks for 2.84 PiB and fails before allocating
+        assert main(["fields-check", "--K", "10000000", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
         assert not (tmp_path / "report.json").exists()
 
     def test_missing_config_file_exit_one(self):

@@ -187,6 +187,13 @@ class TestTimeDependentVelocity:
         with pytest.raises(SpectralError):
             TimeDependentVelocity(bad_times, tg.frames, tg.pressures, NU)
 
+    @pytest.mark.parametrize("T", [0.0, 5e-324, -1.0])
+    def test_non_positive_time_steps_rejected(self, T):
+        # T = 5e-324 over 4 steps underflows to steps of 0 and 5e-324
+        tg = taylor_green(NU, 1.0, 4)
+        with pytest.raises(SpectralError, match="steps must be positive"):
+            TimeDependentVelocity(np.linspace(0.0, T, 5), tg.frames, tg.pressures, NU)
+
     def test_pressure_frames_must_match_velocity_frames(self):
         tg = taylor_green(NU, 1.0, 4)
         with pytest.raises(SpectralError):

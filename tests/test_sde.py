@@ -23,7 +23,6 @@ from nsvlab.sde import (
     load_ensemble,
     measure_density,
     path_rng,
-    resimulate_from_noise,
     save_ensemble,
     simulate_ito,
     simulate_stratonovich_basis,
@@ -136,16 +135,22 @@ class TestReproducibility:
         big = simulate_ito(params, N=40, M=50, seed=7)
         np.testing.assert_array_equal(big.unwrapped[:10], small.unwrapped)
 
-    @pytest.mark.parametrize("j_max", [150, None])
     @pytest.mark.parametrize("drift", [FORWARD, REVERSED, "zero"])
-    def test_adaptedness_prefix_resimulation(self, drift, j_max):
+    def test_adaptedness_recorded_step(self, drift):
+        """Each recorded step is the Euler-Maruyama step from the recorded
+        position, drift and increment, to the bit, in the engine's order of
+        operations; the recorded drift is the oriented velocity at the
+        recorded position and time."""
         tg = None if drift == "zero" else taylor_green(NU, T, 400)
         orientation = REVERSED if drift == REVERSED else FORWARD
         params = SdeParams(nu=NU, T=T, drift_source=tg, orientation=orientation)
         ens = simulate_ito(params, N=500, M=400, seed=42)
-        prefix = resimulate_from_noise(ens, params, j_max=j_max)
-        stop = ens.n_steps if j_max is None else j_max
-        np.testing.assert_array_equal(prefix, ens.unwrapped[:, : stop + 1])
+        step = ens.unwrapped[:, :-1] + ens.drift[:, :-1] * ens.dt + np.sqrt(2.0 * NU) * ens.dW
+        assert step.tobytes() == ens.unwrapped[:, 1:].tobytes()
+        for j in range(ens.n_steps + 1):
+            x = ens.unwrapped[:, j]
+            want = np.zeros_like(x) if tg is None else params.drift_sign() * tg.velocity_at(params.drift_time(j * ens.dt), x)
+            assert want.tobytes() == ens.drift[:, j].tobytes()
 
 
 class TestStratonovichEngine:
@@ -344,31 +349,6 @@ class TestPersistenceProperties:
         assert (back.kind, back.seed, back.meta) == (ens.kind, ens.seed, ens.meta)
         assert np.float64(back.dt).tobytes() == np.float64(ens.dt).tobytes()
         assert back.nu == ens.nu
-
-
-class TestAntithetic:
-    def test_pairs_mirror_under_zero_drift(self):
-        ens = simulate_ito(SdeParams(nu=NU, T=T), N=20, M=30, seed=3, antithetic=True)
-        np.testing.assert_array_equal(ens.dW[1::2], -ens.dW[0::2])
-        np.testing.assert_array_equal(ens.unwrapped[1::2, 0], ens.unwrapped[0::2, 0])
-        disp = ens.unwrapped - ens.unwrapped[:, :1]
-        np.testing.assert_allclose(disp[1::2], -disp[0::2], atol=1e-12)
-
-    def test_requires_even_path_count(self):
-        with pytest.raises(ValueError):
-            simulate_ito(SdeParams(nu=NU, T=T), N=3, M=4, seed=0, antithetic=True)
-
-    def test_reduces_action_variance_for_taylor_green(self):
-        tg = taylor_green(NU, T, 100)
-        params = SdeParams(nu=NU, T=T, drift_source=tg, orientation=FORWARD)
-        from nsvlab.action import action
-
-        plain = action(simulate_ito(params, N=2000, M=100, seed=5))
-        paired = action(simulate_ito(params, N=2000, M=100, seed=5, antithetic=True))
-        exact = (1 - np.exp(-4 * NU * T)) / (16 * NU)
-        # same budget, both near the closed form; pairing must not break either
-        assert abs(paired.value - exact) <= 3 * paired.std_error + 0.5 * 1e-2
-        assert abs(plain.value - exact) <= 3 * plain.std_error + 0.5 * 1e-2
 
 
 def _ks_cases():

@@ -52,8 +52,9 @@ def test_span_defined_in_its_owners_own_namespace(module_name, qualname):
 
 
 def test_criticality_calls_each_estimator_once_per_ensemble(tmp_path):
-    """One DPM call on the occupation samples, one direct call per ensemble and
-    one FD call per pair; the probes still find `samples` and `ens` by name.
+    """One DPM call on the occupation samples, one direct call per ensemble,
+    one FD call per pair and one drift build for both ensembles; the probes
+    still find `samples` and `ens` by name.
     A fresh interpreter keeps the tracer's patching out of this suite."""
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_CRITICALITY, str(ROOT / "src"), str(TRACING.parent), str(tmp_path)],
@@ -66,4 +67,5 @@ def test_criticality_calls_each_estimator_once_per_ensemble(tmp_path):
     assert seen["notes"] == []
     calls = seen["calls"]
     assert (calls["action.dpm_residual"], calls["action.first_variation_direct"], calls["variation.first_variation_fd"]) == (1, 2, 6)
+    assert calls["cli.build_drift"] == 1
     assert seen["counters"]["action.samples"] > 0
