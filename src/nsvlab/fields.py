@@ -11,10 +11,15 @@ identities survive to rounding.
 
 Every pointwise evaluation, here and in flows.py, goes through trig_sum and
 trig_gradient over the half-lattice modes that stack_active_modes selects,
-and every grid synthesis goes through to_grid.  trig_sum contracts cos(k.x)
-and sin(k.x) with the coefficients by BLAS and skips the pass of a pure sine or
-pure cosine series.  The criticality weak terms (action._weak_terms) contract
-the same modes against a velocity directly.
+and every grid synthesis goes through to_grid.  The kernel takes one of two
+paths, picked from the mode set alone (dense_modes): a set of more than 2K+1
+modes, K the largest |k_a| among them, is summed from per-axis tables of
+cos(k_a x_a) and sin(k_a x_a) with e^{i k.x} = e^{i k1 x1} e^{i k2 x2},
+contracted by single-threaded real einsum; any other set contracts cos(k.x) and
+sin(k.x) with the coefficients by BLAS and skips the pass of a pure sine or
+pure cosine series.  The criticality
+weak terms (action._weak_terms) contract the same modes against a velocity
+directly.
 """
 
 from __future__ import annotations
@@ -69,16 +74,17 @@ def stack_active_modes(coeff_list: list[np.ndarray]) -> tuple[np.ndarray, np.nda
     return kv, np.stack([c[active] for c in coeff_list])
 
 
-def trig_sum(points, kv: np.ndarray, cf: np.ndarray, mean=0.0) -> np.ndarray:
-    """mean + 2 Re(sum_k c_k e^{i k.x}) over half-lattice modes kv (m, 2) with
-    coefficients cf of shape (m,) or (m, 2); values (n,) or (n, 2).
+def dense_modes(kv: np.ndarray) -> bool:
+    """Whether trig_sum and trig_gradient sum the half-lattice mode set kv
+    (m, 2) from per-axis tables: m exceeds the lattice width 2K+1, with
+    K = max |k_a| over the modes."""
+    return kv.shape[0] > 2 * np.abs(kv).max(initial=0.0) + 1
 
-    Contracted by BLAS as cos(k.x) @ Re c - sin(k.x) @ Im c, with sin formed in
-    the phases' buffer.  A pass whose coefficients are all zero is skipped: a
-    pure cosine series (a Taylor-Green pressure) needs no sines, and a pure sine
-    series (its velocity, each frame field of a sine kind) no cosines.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+
+def _phase_sum(pts: np.ndarray, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
+    """2 Re(sum_k c_k e^{i k.x}) contracted by BLAS as cos(k.x) @ Re c -
+    sin(k.x) @ Im c, with sin formed in the phases' buffer and a pass whose
+    coefficients are all zero skipped."""
     out = np.zeros(pts.shape[:1] + cf.shape[1:])
     if kv.shape[0]:
         ph = pts @ kv.T
@@ -87,14 +93,11 @@ def trig_sum(points, kv: np.ndarray, cf: np.ndarray, mean=0.0) -> np.ndarray:
         if cf.imag.any():
             out -= np.sin(ph, out=ph) @ cf.imag
         out *= 2.0
-    out += mean
     return out
 
 
-def trig_gradient(points, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
-    """Spatial derivatives d_b of trig_sum, with b the last axis: (n, 2) or
-    (n, 2, 2), the latter the Jacobian J[n, a, b] = d_b u_a."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def _phase_gradient(pts: np.ndarray, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
+    """trig_gradient from the phases k.x, one cos and one sin per mode."""
     if kv.shape[0] == 0:
         return np.zeros(pts.shape[:1] + cf.shape[1:] + (2,))
     ph = pts @ kv.T
@@ -108,6 +111,81 @@ def trig_gradient(points, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
         np.einsum("nm,m...,mb->n...b", np.sin(ph), cf.real, kv)
         + np.einsum("nm,m...,mb->n...b", np.cos(ph), cf.imag, kv)
     )
+
+
+def _axis_powers(x: np.ndarray, K: int) -> np.ndarray:
+    """(2, K+1, n) table of cos(k x) and sin(k x) for k = 0..K, K >= 1: one
+    cos and one sin call at k = 1, then e^{i(m+j)x} = e^{ijx} e^{imx} doubles
+    the table per step, so each entry is at most 1 + log2(K) products away
+    from the library values."""
+    e = np.empty((K + 1, x.size), dtype=complex)
+    e[0] = 1.0
+    e[1].real, e[1].imag = np.cos(x), np.sin(x)
+    m = 1
+    while m < K:
+        top = min(2 * m, K)
+        np.multiply(e[1 : top - m + 1], e[m], out=e[m + 1 : top + 1])
+        m = top
+    return np.stack([e.real, e.imag])
+
+
+def _axis_table_sum(pts: np.ndarray, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
+    """2 Re(sum_k c_k e^{i k.x}) for coefficients cf of shape (m,) + V, from
+    e^{i k.x} = e^{i k1 x1} e^{i k2 x2} and per-axis tables (_axis_powers).
+    The coefficients are scattered into a (2K+1, K+1) + V block C[k2 + K, k1]
+    and contracted over k2, then k1.  Real einsum keeps the contraction on this
+    thread (a complex @ goes through threaded BLAS)."""
+    K = int(np.abs(kv).max())
+    V = cf.shape[1:]
+    q = (K + 1) * int(np.prod(V, dtype=int))
+    C = np.zeros((2 * K + 1, K + 1) + V, dtype=complex)
+    C[kv[:, 1].astype(int) + K, kv[:, 0].astype(int)] = cf
+    C = C.reshape(2 * K + 1, q)
+    # sum_{k2=-K..K} C[k2] e^{i k2 x2} = sum_{k2=0..K} P cos(k2 x2) + i M sin(k2 x2),
+    # with P = C[k2] + C[-k2] (C[0] at k2 = 0) and M = C[k2] - C[-k2]
+    P = C[K:].copy()
+    P[1:] += C[K - 1 :: -1]
+    M = C[K:] - C[K::-1]
+    e1, e2 = _axis_powers(pts[:, 0], K), _axis_powers(pts[:, 1], K)
+    # Q[k1] = sum_k2 C[k2, k1] e^{i k2 x2}: rows Re Q, then Im Q
+    Q = np.einsum("bq,bn->qn", np.block([[P.real, P.imag], [-M.imag, M.real]]), e2.reshape(2 * K + 2, -1))
+    Qr = Q[:q].reshape((K + 1,) + V + (-1,))
+    Qi = Q[q:].reshape((K + 1,) + V + (-1,))
+    # Re(Q e^{i k1 x1}), summed over k1
+    out = np.einsum("an,a...n->...n", e1[0], Qr)
+    out -= np.einsum("an,a...n->...n", e1[1], Qi)
+    out *= 2.0
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+
+
+def trig_sum(points, kv: np.ndarray, cf: np.ndarray, mean=0.0) -> np.ndarray:
+    """mean + 2 Re(sum_k c_k e^{i k.x}) over half-lattice modes kv (m, 2) with
+    coefficients cf of shape (m,) or (m, 2); values (n,) or (n, 2).
+
+    Two paths, picked from the mode set alone (dense_modes).  A dense set, with
+    more modes than the lattice width 2K+1 (a solved or random flow), is summed
+    from per-axis cos/sin tables: one cos/sin pair per point and axis instead of
+    m, and about 4 n (K+1)^2 multiply-adds per value component.
+    Any other set (Taylor-Green, single-mode test fields) is contracted by BLAS
+    over the phases k.x, and a pass whose coefficients are all zero is skipped:
+    a pure cosine series (a Taylor-Green pressure) needs no sines, and a pure
+    sine series (its velocity, each frame field of a sine kind) no cosines.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = (_axis_table_sum if dense_modes(kv) else _phase_sum)(pts, kv, cf)
+    out += mean
+    return out
+
+
+def trig_gradient(points, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
+    """Spatial derivatives d_b of trig_sum, with b the last axis: (n, 2) or
+    (n, 2, 2), the latter the Jacobian J[n, a, b] = d_b u_a.  The path is
+    trig_sum's; a dense set is summed with coefficients i k_b c_k."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not dense_modes(kv):
+        return _phase_gradient(pts, kv, cf)
+    ik = (1j * kv).reshape(kv.shape[:1] + (1,) * (cf.ndim - 1) + (2,))
+    return _axis_table_sum(pts, kv, cf[..., None] * ik)
 
 
 def to_grid(coeffs: np.ndarray, n: int) -> np.ndarray:

@@ -129,6 +129,11 @@ class TimeDependentVelocity:
         self.times = np.asarray(self.times, dtype=float)
         if len(self.frames) != self.times.size:
             raise SpectralError("one frame per grid time required")
+        if not self.times.size:
+            raise SpectralError("time grid has no times")
+        # _interp counts s / dt from t = 0, so frame j must sit at j dt
+        if abs(self.times[0]) > UNIFORM_TOL:
+            raise SpectralError("time grid must start at 0")
         steps = np.diff(self.times)
         if not np.all(steps > 0):
             raise SpectralError("time grid steps must be positive")

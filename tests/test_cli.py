@@ -602,6 +602,26 @@ class TestMainEntry:
         assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {**doc, "times": [t + 1.0 for t in doc["times"]]}, "time grid must start at 0"),
+            (lambda doc: {**doc, "times": [], "frames": [], "pressures": []}, "time grid has no times"),
+        ],
+        ids=["shifted", "empty"],
+    )
+    def test_bad_time_grid_exit_one_with_one_line(self, tmp_path, capsys, edit, message):
+        manifest = taylor_green(0.1, 1.0, 2).save(str(tmp_path / "flow"))
+        with open(manifest) as fh:
+            doc = edit(json.load(fh))
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        argv = ["simulate", "--drift", f"spectral-file:{manifest}", "--N", "50", "--M", "20", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {message}"]
+        assert not (tmp_path / "report.json").exists()
+
     def test_simulate_with_step_count_not_divisible_by_four(self, tmp_path):
         # T/4 is off the grid at M = 150; the KS check uses grid indices
         argv = ["simulate", "--drift", "zero", "--N", "200", "--M", "150", "--out", str(tmp_path)]

@@ -13,7 +13,11 @@ from nsvlab.fields import (
     FourierVectorField,
     SpectralBasis,
     SpectralError,
+    _axis_table_sum,
+    _phase_gradient,
+    _phase_sum,
     _wavegrid,
+    dense_modes,
     deformation_inner,
     deformation_laplacian,
     hodge_laplacian,
@@ -293,8 +297,9 @@ def kernel_args(coeffs):
     return kv, cf[0], coeffs[K, K].real
 
 
+# keep = 1.0 at K >= 1 (and often 0.3) draws dense stacks, summed from axis tables
 kernel_cases = dict(
-    K=st.integers(0, 4),
+    K=st.integers(0, 8),
     vector=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     keep=st.sampled_from([0.0, 0.3, 1.0]),
@@ -391,10 +396,25 @@ class _CountingNumpy:
         return counted
 
 
+# five modes with K = 3, at most the lattice width 2K+1 = 7: the phase path
+SPARSE_MODES = ((1, 1), (1, -1), (0, 2), (2, 0), (3, -1))
+
+
+def sparse_parity_coeffs(vector, seed, kind):
+    """parity_coeffs at K = 3 kept on SPARSE_MODES (and the mean) only."""
+    z = parity_coeffs(3, vector, seed, kind)
+    keep = np.zeros(z.shape[:2], bool)
+    keep[3, 3] = True
+    for k1, k2 in SPARSE_MODES:
+        keep[3 + k1, 3 + k2] = keep[3 - k1, 3 - k2] = True
+    return np.where(keep.reshape(keep.shape + (1,) * (z.ndim - 2)), z, 0.0)
+
+
 class TestTrigSumPasses:
-    """The BLAS-contracted kernel against the full-lattice Fourier sum to 1e-14
-    relative to the coefficients' absolute sum, and the cosine or sine pass
-    skipped when all its coefficients are zero."""
+    """Both kernel paths against the full-lattice Fourier sum to 1e-14 relative
+    to the coefficients' absolute sum.  A dense stack makes one cos and one sin
+    call per axis table; on a sparse one the cosine or sine pass is skipped
+    when all its coefficients are zero."""
 
     @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
     @pytest.mark.parametrize("kind", ["cos", "sin", "mixed"])
@@ -402,6 +422,24 @@ class TestTrigSumPasses:
         stack = [parity_coeffs(K, vector, seed, kind) for K, seed in ((3, 1), (3, 2))]
         stack.append(np.zeros_like(stack[0]))  # inactive on the stacked modes
         kv, cfs = stack_active_modes(stack)
+        assert dense_modes(kv)
+        pts = np.random.default_rng(7).uniform(0.0, TWO_PI, (200, 2))
+        counting = _CountingNumpy()
+        monkeypatch.setattr(fields_module, "np", counting)
+        for coeffs, cf in zip(stack, cfs):
+            got = trig_sum(pts, kv, cf, coeffs[3, 3].real)
+            scale = max(np.sum(np.abs(coeffs)), 1.0)
+            np.testing.assert_allclose(got, full_lattice_sum(coeffs, pts), rtol=0, atol=1e-14 * scale)
+        # each of the three calls: one cos and one sin per axis table
+        assert counting.calls == {"cos": 6, "sin": 6}
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("kind", ["cos", "sin", "mixed"])
+    def test_sparse_stack_skips_empty_passes(self, kind, vector, monkeypatch):
+        stack = [sparse_parity_coeffs(vector, seed, kind) for seed in (1, 2)]
+        stack.append(np.zeros_like(stack[0]))  # inactive on the stacked modes
+        kv, cfs = stack_active_modes(stack)
+        assert kv.shape[0] == len(SPARSE_MODES) and not dense_modes(kv)
         pts = np.random.default_rng(7).uniform(0.0, TWO_PI, (200, 2))
         counting = _CountingNumpy()
         monkeypatch.setattr(fields_module, "np", counting)
@@ -412,6 +450,19 @@ class TestTrigSumPasses:
         # two active arrays, each with one pass of the kind(s) it holds
         want = {"cos": {"cos": 2, "sin": 0}, "sin": {"cos": 0, "sin": 2}, "mixed": {"cos": 2, "sin": 2}}
         assert counting.calls == want[kind]
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    def test_dense_gradient_one_cos_and_sin_call_per_axis_table(self, vector, monkeypatch):
+        coeffs = random_hermitian(8, vector, seed=11, keep=1.0)
+        kv, cf, _ = kernel_args(coeffs)
+        pts = np.random.default_rng(8).uniform(0.0, TWO_PI, (50, 2))
+        counting = _CountingNumpy()
+        monkeypatch.setattr(fields_module, "np", counting)
+        got = trig_gradient(pts, kv, cf)
+        assert counting.calls == {"cos": 2, "sin": 2}
+        scale = np.sum(np.abs(coeffs)) * 8
+        want = full_lattice_sum(coeffs, pts, derivative=True)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
 
     @pytest.mark.parametrize("K", [1, 4, 8])
     def test_random_divergence_free_matches_full_lattice(self, K):
@@ -461,6 +512,68 @@ class TestSharedPhases:
         for f, cf in zip((p, q), stack):
             np.testing.assert_array_equal(trig_sum(pts, kv, cf, f.mean), f.evaluate_at(pts))
             np.testing.assert_array_equal(trig_gradient(pts, kv, cf), f.gradient_at(pts))
+
+
+def boundary_coeffs(K, m, vector, seed):
+    """Random Hermitian coefficients active on exactly m half-lattice modes,
+    (K, 0) among them, so that max |k_a| = K."""
+    rng = np.random.default_rng(seed)
+    k1, k2 = _wavegrid(K)
+    half = np.argwhere((k1 > 0) | ((k1 == 0) & (k2 > 0))) - K
+    others = [k for k in half.tolist() if k != [K, 0]]
+    chosen = [[K, 0]] + [others[i] for i in rng.choice(len(others), m - 1, replace=False)]
+    shape = (2 * K + 1, 2 * K + 1) + ((2,) if vector else ())
+    z = np.zeros(shape, complex)
+    for a, b in chosen:
+        c = rng.standard_normal(shape[2:]) + 1j * rng.standard_normal(shape[2:])
+        z[a + K, b + K], z[K - a, K - b] = c, np.conj(c)
+    z[K, K] = rng.standard_normal(shape[2:])
+    return z
+
+
+class TestKernelPath:
+    """Which path trig_sum and trig_gradient take, from the mode set alone, and
+    the two paths' agreement either side of the switch at m = 2K+1."""
+
+    def test_path_of_each_input(self):
+        from nsvlab.action import default_test_bank
+        from nsvlab.cli import ExperimentConfig, build_drift
+        from nsvlab.flows import solve_navier_stokes, taylor_green
+
+        tg = taylor_green(0.1, 1.0, 4)
+        corrupted = build_drift(ExperimentConfig("criticality", M=4, drift="corrupted:0.5"))
+        solved = solve_navier_stokes(random_divergence_free(8, seed=5), nu=0.1, T=0.01, M=1)
+        sets = {
+            "taylor-green velocity": tg._compile()[0],
+            "taylor-green pressure": tg._compile_pressure()[0],
+            "corrupted:0.5 frames": corrupted._compile()[0],
+            "solved K=8 flow": solved._compile()[0],
+            "solved K=8 frame": solved.frames[1]._compiled()[0],
+        }
+        for pair in default_test_bank(SpectralBasis(3.0, 8, 0.1), 1.0):
+            sets[f"bank {pair.name}"] = pair.w._compiled()[0]
+        assert {name: dense_modes(kv) for name, kv in sets.items()} == {
+            name: name.startswith("solved") for name in sets
+        }
+        assert sets["solved K=8 flow"].shape[0] == 144
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["m=2K+1", "m=2K+2"])
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    def test_paths_agree_at_the_switch(self, K, extra, vector):
+        coeffs = boundary_coeffs(K, 2 * K + 1 + extra, vector, seed=100 * K + extra)
+        kv, cf, mean = kernel_args(coeffs)
+        assert kv.shape[0] == 2 * K + 1 + extra and dense_modes(kv) == bool(extra)
+        pts = np.random.default_rng(K).uniform(0.0, TWO_PI, (300, 2))
+        scale = np.sum(np.abs(coeffs))
+        phase, table = _phase_sum(pts, kv, cf), _axis_table_sum(pts, kv, cf)
+        np.testing.assert_allclose(table, phase, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_array_equal(trig_sum(pts, kv, cf, mean), (table if extra else phase) + mean)
+        np.testing.assert_allclose(trig_sum(pts, kv, cf, mean), full_lattice_sum(coeffs, pts), rtol=0, atol=1e-14 * scale)
+        ik = (1j * kv).reshape(kv.shape[:1] + (1,) * (cf.ndim - 1) + (2,))
+        grad_phase, grad_table = _phase_gradient(pts, kv, cf), _axis_table_sum(pts, kv, cf[..., None] * ik)
+        np.testing.assert_allclose(grad_table, grad_phase, rtol=0, atol=1e-14 * scale * K)
+        np.testing.assert_array_equal(trig_gradient(pts, kv, cf), grad_table if extra else grad_phase)
 
 
 # -- structure and serialization -------------------------------------------------

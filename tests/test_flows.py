@@ -194,6 +194,28 @@ class TestTimeDependentVelocity:
         with pytest.raises(SpectralError, match="steps must be positive"):
             TimeDependentVelocity(np.linspace(0.0, T, 5), tg.frames, tg.pressures, NU)
 
+    @pytest.mark.parametrize("shift", [1.0, -0.25, 1e-9])
+    def test_time_grid_must_start_at_zero(self, shift):
+        # velocity_at counts s / dt from t = 0, so a shifted grid would serve
+        # the frame of time s + shift at time s
+        tg = taylor_green(NU, 1.0, 4)
+        with pytest.raises(SpectralError, match="time grid must start at 0"):
+            TimeDependentVelocity(tg.times + shift, tg.frames, tg.pressures, NU)
+
+    def test_empty_time_grid_rejected(self):
+        with pytest.raises(SpectralError, match="time grid has no times"):
+            TimeDependentVelocity(np.array([]), [], [], NU)
+
+    def test_shifted_manifest_rejected_on_load(self, tmp_path):
+        manifest = taylor_green(NU, 1.0, 4).save(os.fspath(tmp_path), "tg")
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        doc["times"] = [t + 1.0 for t in doc["times"]]
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(SpectralError, match="time grid must start at 0"):
+            TimeDependentVelocity.load(manifest)
+
     def test_pressure_frames_must_match_velocity_frames(self):
         tg = taylor_green(NU, 1.0, 4)
         with pytest.raises(SpectralError):
