@@ -83,10 +83,12 @@ EXPERIMENTS = (
 
 OUTPUT_ENV_VAR = "NSVLAB_OUT"
 
-# experiments that store an (N, M+1) ensemble: positions, drift and noise
-# increments, two float64 each per path and grid time
-STORED_ENSEMBLE = ("simulate", "action", "criticality", "minimality")
-ENSEMBLE_BYTES_PER_STEP = 48
+# experiments that store an (N, M+1) ensemble, and the peak memory each takes
+# per path and grid time: the slope of peak RSS between N = 2000 and N = 8000
+# at its config's M, rounded up (Linux x86-64, Python 3.11, numpy 2.4).  The
+# stored arrays alone take 48 bytes; the rest is the estimators' temporaries.
+PEAK_BYTES_PER_STEP = {"simulate": 64, "action": 81, "criticality": 106, "minimality": 134}
+STORED_ENSEMBLE = tuple(PEAK_BYTES_PER_STEP)
 
 # experiments whose statistics are taken over N paths: a standard error or a
 # sample variance needs at least two
@@ -190,12 +192,12 @@ def validate(config: ExperimentConfig) -> list[dict]:
     except ValueError as exc:
         err(str(exc))
     if config.experiment in STORED_ENSEMBLE:
-        need = ENSEMBLE_BYTES_PER_STEP * config.N * (config.M + 1)
+        need = PEAK_BYTES_PER_STEP[config.experiment] * config.N * (config.M + 1)
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > have:
             gb = need / 1e9 if need < 1e300 else math.inf  # past float range, inf
             err(
-                f"N x M = {config.N} x {config.M} stores a {gb:.3g} GB ensemble, "
+                f"N x M = {config.N} x {config.M} needs about {gb:.3g} GB at peak, "
                 f"more than the {have / 1e9:.3g} GB of physical memory"
             )
     if config.experiment == "minimality" and config.drift == "taylor-green":
@@ -479,7 +481,7 @@ def run_criticality(config: ExperimentConfig, report: Report, outdir: str):
     else:
         # finite differences on a reduced common-random-number ensemble
         small = _simulate_from_config(config, drift, FORWARD, N=min(config.N, 1200), M=min(config.M, 150))
-        fds = [first_variation_fd(small, pair, config.nu, n_flow_steps=2) for pair in bank]
+        fds = [first_variation_fd(small, pair, config.nu) for pair in bank]
         for pair, fd, dv in zip(bank, fds, first_variation_direct(small, bank, config.nu)):
             report.add_estimate(f"variation_fd_{pair.name}", fd)
             report.add_verdict(
@@ -557,18 +559,20 @@ def run_measure_preservation(config: ExperimentConfig, report: Report, outdir: s
     M = min(config.M, 400)
     params = SdeParams(nu=config.nu, T=config.T)
     ens = simulate_stratonovich_basis(params, basis, N=N, M=M, seed=config.seed)
-    zero = lambda pts: np.zeros(pts.shape[0])
-    dens = measure_density(ens, [zero] * ens.dW.shape[2])
+    # div of each channel's field as the engine drives it: sqrt(2) A_k, then sqrt(2) B_k
+    frame = [basis.basis_field(k, kind) * np.sqrt(2.0) for kind in ("cos", "sin") for k in basis.kvecs]
+    noise_divs = [f.divergence_field().evaluate_at for f in frame]
+    dens = measure_density(ens, noise_divs)
     dev = float(np.max(np.abs(dens - 1.0)))
     report.add_value("density_dev_solenoidal", dev)
+    # exact at K <= 2, where every k.c_k is exactly zero
     report.add_verdict("density_one_for_solenoidal", dev == 0.0)
 
-    # gradient drift: div(grad sin x1) = -sin x1
-    drift = steady_flow(_grad_sin_x1(), config.T, 2, config.nu, require_divergence_free=False)
+    grad = _grad_sin_x1()
+    drift = steady_flow(grad, config.T, 2, config.nu, require_divergence_free=False)
     params2 = SdeParams(nu=config.nu, T=config.T, drift_source=drift)
     ens2 = simulate_stratonovich_basis(params2, basis, N=N, M=M, seed=(config.seed + 1) % 2**64)
-    div_drift = lambda pts: -np.sin(pts[:, 0])
-    dens2 = measure_density(ens2, [zero] * ens2.dW.shape[2], div_drift)
+    dens2 = measure_density(ens2, noise_divs, grad.divergence_field().evaluate_at)
     frac = float(np.mean(np.max(np.abs(dens2 - 1.0), axis=1) > 0.01))
     report.add_value("density_moved_fraction", frac)
     report.add_verdict("gradient_drift_moves_density", frac >= 0.9)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -82,10 +83,14 @@ def dense_modes(kv: np.ndarray) -> bool:
 
 
 def _phase_sum(pts: np.ndarray, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
-    """2 Re(sum_k c_k e^{i k.x}) contracted by BLAS as cos(k.x) @ Re c -
-    sin(k.x) @ Im c, with sin formed in the phases' buffer and a pass whose
+    """2 Re(sum_k c_k e^{i k.x}) for coefficients cf of shape (m,) + V, with the
+    value shape flattened to (m, q) and contracted by BLAS as cos(k.x) @ Re c -
+    sin(k.x) @ Im c; sin is formed in the phases' buffer and a pass whose
     coefficients are all zero skipped."""
-    out = np.zeros(pts.shape[:1] + cf.shape[1:])
+    V = cf.shape[1:]
+    q = math.prod(V)
+    cf = cf.reshape(kv.shape[0], q)  # an explicit q, since m may be 0
+    out = np.zeros((pts.shape[0], q))
     if kv.shape[0]:
         ph = pts @ kv.T
         if cf.real.any():
@@ -93,24 +98,7 @@ def _phase_sum(pts: np.ndarray, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
         if cf.imag.any():
             out -= np.sin(ph, out=ph) @ cf.imag
         out *= 2.0
-    return out
-
-
-def _phase_gradient(pts: np.ndarray, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
-    """trig_gradient from the phases k.x, one cos and one sin per mode."""
-    if kv.shape[0] == 0:
-        return np.zeros(pts.shape[:1] + cf.shape[1:] + (2,))
-    ph = pts @ kv.T
-    # d_b u = 2 Re(sum_k i k_b c_k e^{i k.x})
-    if cf.ndim == 1:  # scalar stacks: the 2-operand contraction is ~3x cheaper
-        return -2.0 * (
-            np.einsum("nm,mb->nb", np.sin(ph), kv * cf.real[:, None])
-            + np.einsum("nm,mb->nb", np.cos(ph), kv * cf.imag[:, None])
-        )
-    return -2.0 * (
-        np.einsum("nm,m...,mb->n...b", np.sin(ph), cf.real, kv)
-        + np.einsum("nm,m...,mb->n...b", np.cos(ph), cf.imag, kv)
-    )
+    return out.reshape(pts.shape[:1] + V)
 
 
 def _axis_powers(x: np.ndarray, K: int) -> np.ndarray:
@@ -179,13 +167,11 @@ def trig_sum(points, kv: np.ndarray, cf: np.ndarray, mean=0.0) -> np.ndarray:
 
 def trig_gradient(points, kv: np.ndarray, cf: np.ndarray) -> np.ndarray:
     """Spatial derivatives d_b of trig_sum, with b the last axis: (n, 2) or
-    (n, 2, 2), the latter the Jacobian J[n, a, b] = d_b u_a.  The path is
-    trig_sum's; a dense set is summed with coefficients i k_b c_k."""
+    (n, 2, 2), the latter the Jacobian J[n, a, b] = d_b u_a.  The kernel of
+    trig_sum, on either path, applied to the coefficients i k_b c_k."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not dense_modes(kv):
-        return _phase_gradient(pts, kv, cf)
     ik = (1j * kv).reshape(kv.shape[:1] + (1,) * (cf.ndim - 1) + (2,))
-    return _axis_table_sum(pts, kv, cf[..., None] * ik)
+    return (_axis_table_sum if dense_modes(kv) else _phase_sum)(pts, kv, cf[..., None] * ik)
 
 
 def to_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -342,6 +328,11 @@ class FourierVectorField(FourierField):
         if not mask.any():
             return 0.0
         return float(np.max(np.abs(dot[mask]) / mag[mask]))
+
+    def divergence_field(self) -> "FourierScalarField":
+        """div f, the scalar field with coefficients i k.c_k."""
+        k1, k2 = _wavegrid(self.K)
+        return FourierScalarField(self.K, 1j * (k1 * self.coeffs[..., 0] + k2 * self.coeffs[..., 1]))
 
     def is_divergence_free(self, tol: float = DIVFREE_TOL) -> bool:
         return self.divergence_defect() <= tol

@@ -8,7 +8,9 @@ inserted at each grid time together with the Brownian increments, so all
 action and residual estimators downstream are pure folds over stored data.
 
 _draw_noise makes every random draw and _march is the one record-then-step
-loop; each engine only supplies its drift and step.
+loop, which builds every PathEnsemble; each engine only supplies its drift
+and step.  save_ensemble writes an ensemble as an .npz of its three arrays
+and a JSON sidecar of its scalars.
 
 Randomness is counter-based: path n draws from Philox keyed by the master
 seed with the fourth counter word set to n.  Streams are therefore
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-import struct
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +32,7 @@ from .estimates import EstimateWithError
 from .fields import FourierScalarField, SpectralBasis, TWO_PI
 from .flows import TimeDependentVelocity
 
-KIND_CODES = {"ito": 1, "stratonovich_basis": 2, "bridge": 3}
-_KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
+KINDS = ("ito", "stratonovich_basis", "bridge")
 
 FORWARD = "forward"
 REVERSED = "reversed"
@@ -46,8 +47,7 @@ def path_rng(seed: int, path_index: int) -> Generator:
 class SdeParams:
     """Simulation inputs: diffusivity, horizon, initial law, drift source.
 
-    initial_law is "uniform", ("fixed", point) or ("product", (inv_cdf_1,
-    inv_cdf_2)) where each inv_cdf maps Uniform[0,1) draws to [0, 2pi).
+    initial_law is "uniform" or ("fixed", point).
     orientation selects drift +u(t, x) (forward) or -u(T - t, x) (reversed).
     """
 
@@ -121,36 +121,34 @@ class PathEnsemble:
         return j
 
 
-def _draw_initial(rng: Generator, initial_law, dim: int) -> np.ndarray:
-    if isinstance(initial_law, str) and initial_law == "uniform":
-        return rng.uniform(0.0, TWO_PI, dim)
-    tag = initial_law[0]
-    if tag == "fixed":
-        return np.asarray(initial_law[1], dtype=float).copy()
-    if tag == "product":
-        u = rng.uniform(0.0, 1.0, dim)
-        return np.array([initial_law[1][d](u[d]) for d in range(dim)])
-    raise ValueError(f"unknown initial law {initial_law!r}")
-
-
 def _draw_noise(seed: int, N: int, M: int, channels: int, dt: float, initial_law, dim: int):
-    """Per-path counter-based draws: initial position first, then increments."""
-    starts = np.empty((N, dim))
+    """Per-path counter-based draws: a uniform initial position first, unless
+    initial_law fixes every start at one point, then the increments."""
+    uniform = isinstance(initial_law, str) and initial_law == "uniform"
+    if not uniform and initial_law[0] != "fixed":
+        raise ValueError(f"unknown initial law {initial_law!r}")
+    starts = np.empty((N, dim)) if uniform else np.full((N, dim), initial_law[1], dtype=float)
     dW = np.empty((N, M, channels))
     root = np.sqrt(dt)
     for n in range(N):
         rng = path_rng(seed, n)
-        starts[n] = _draw_initial(rng, initial_law, dim)
+        if uniform:
+            starts[n] = rng.uniform(0.0, TWO_PI, dim)
         dW[n] = rng.standard_normal((M, channels)) * root
     return starts, dW
 
 
-def _march(pos: np.ndarray, M: int, dt: float, drift_at, step) -> tuple[np.ndarray, np.ndarray]:
-    """Store pos and drift_at(t_j, pos) at each grid time t_j, then advance by
-    step(j, pos, drift) while j < M; returns (N, M+1, dim) positions and drifts."""
-    N, dim = pos.shape
+def _march(
+    kind: str, nu: float | None, seed: int, meta: dict, starts: np.ndarray, dW: np.ndarray, dt: float, drift_at, step
+) -> PathEnsemble:
+    """The record of one engine run: from the starts, store pos and
+    drift_at(t_j, pos) at each grid time t_j, then advance by
+    step(j, pos, drift) while j < M, with M the steps that dW holds."""
+    N, dim = starts.shape
+    M = dW.shape[1]
     unwrapped = np.empty((N, M + 1, dim))
     drift = np.empty((N, M + 1, dim))
+    pos = starts
     for j in range(M + 1):
         unwrapped[:, j] = pos
         drift[:, j] = drift_at(j * dt, pos)
@@ -158,7 +156,7 @@ def _march(pos: np.ndarray, M: int, dt: float, drift_at, step) -> tuple[np.ndarr
             pos = step(j, pos, drift[:, j])
             if not np.all(np.isfinite(pos)):
                 raise FloatingPointError(f"non-finite state at step {j + 1}")
-    return unwrapped, drift
+    return PathEnsemble(kind, nu, dt, seed, unwrapped, drift, dW, meta)
 
 
 def simulate_ito(params: SdeParams, N: int, M: int, seed: int = 42) -> PathEnsemble:
@@ -172,17 +170,8 @@ def simulate_ito(params: SdeParams, N: int, M: int, seed: int = 42) -> PathEnsem
     def drift_at(t: float, x: np.ndarray):
         return 0.0 if src is None else sign * src.velocity_at(params.drift_time(t), x)
 
-    unwrapped, drift = _march(starts, M, dt, drift_at, lambda j, x, d: x + d * dt + sig * dW[:, j])
-    return PathEnsemble(
-        kind="ito",
-        nu=params.nu,
-        dt=dt,
-        seed=seed,
-        unwrapped=unwrapped,
-        drift=drift,
-        dW=dW,
-        meta={"orientation": params.orientation, "T": params.T},
-    )
+    meta = {"orientation": params.orientation, "T": params.T}
+    return _march("ito", params.nu, seed, meta, starts, dW, dt, drift_at, lambda j, x, d: x + d * dt + sig * dW[:, j])
 
 
 def simulate_stratonovich_basis(
@@ -215,17 +204,8 @@ def simulate_stratonovich_basis(
         u1 = transport(j * dt + dt, pred)
         return pos + 0.5 * (disp0 + disp1) + 0.5 * (uj + u1) * dt
 
-    unwrapped, drift = _march(starts, M, dt, transport, heun)
-    return PathEnsemble(
-        kind="stratonovich_basis",
-        nu=params.nu,
-        dt=dt,
-        seed=seed,
-        unwrapped=unwrapped,
-        drift=drift,
-        dW=dW,
-        meta={"T": params.T, "beta": basis.beta, "basis_K": basis.K},
-    )
+    meta = {"T": params.T, "beta": basis.beta, "basis_K": basis.K}
+    return _march("stratonovich_basis", params.nu, seed, meta, starts, dW, dt, transport, heun)
 
 
 def brownian_bridge(
@@ -237,18 +217,10 @@ def brownian_bridge(
     T = 1.0 - cutoff
     dt = T / M
     starts, dW = _draw_noise(seed, N, M, 1, dt, ("fixed", [x]), 1)
-    unwrapped, drift = _march(
-        starts, M, dt, lambda t, g: -(g - y) / (1.0 - t), lambda j, g, d: g + d * dt + dW[:, j]
-    )
-    return PathEnsemble(
-        kind="bridge",
-        nu=None,
-        dt=dt,
-        seed=seed,
-        unwrapped=unwrapped,
-        drift=drift,
-        dW=dW,
-        meta={"x": x, "y": y, "cutoff": cutoff, "T": T},
+    meta = {"x": x, "y": y, "cutoff": cutoff, "T": T}
+    return _march(
+        "bridge", None, seed, meta, starts, dW, dt,
+        lambda t, g: -(g - y) / (1.0 - t), lambda j, g, d: g + d * dt + dW[:, j],
     )
 
 
@@ -294,74 +266,44 @@ def drift_orthogonality(
 
 # -- persistence ------------------------------------------------------------------
 
-_MAGIC = b"NSVLENS1"
+_ARRAYS = ("unwrapped", "drift", "dW")
+_SCALARS = ("kind", "nu", "dt", "seed", "meta")
 
 
 def save_ensemble(ens: PathEnsemble, stem: str) -> tuple[str, str]:
-    """Columnar little-endian binary plus a JSON sidecar; bit-exact round trip.
-    The directory of stem is made if it is missing."""
-    bin_path, json_path = stem + ".bin", stem + ".json"
+    """stem.npz, holding the arrays unwrapped, drift and dW (uncompressed, so
+    np.load opens it), and stem.json, holding kind, nu, dt, seed and meta; a
+    bit-exact round trip.  The directory of stem is made if it is missing."""
+    npz_path, json_path = stem + ".npz", stem + ".json"
     os.makedirs(os.path.dirname(stem) or ".", exist_ok=True)
-    N, Mp1, dim = ens.unwrapped.shape
-    M = Mp1 - 1
-    C = ens.dW.shape[2]
-    with open(bin_path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<QQdQQQQ", N, M, ens.dt, ens.seed, KIND_CODES[ens.kind], dim, C
-            )
-        )
-        wrapped = ens.wrapped
-        for j in range(Mp1):
-            fh.write(wrapped[:, j].astype("<f8").tobytes())
-            fh.write(ens.unwrapped[:, j].astype("<f8").tobytes())
-            fh.write(ens.drift[:, j].astype("<f8").tobytes())
-            if j < M:
-                fh.write(ens.dW[:, j].astype("<f8").tobytes())
-            else:
-                fh.write(np.zeros((N, C), dtype="<f8").tobytes())
-    sidecar = {
-        "kind": ens.kind,
-        "nu": ens.nu,
-        "dt": ens.dt,
-        "seed": ens.seed,
-        "N": N,
-        "M": M,
-        "dim": dim,
-        "channels": C,
-        "meta": ens.meta,
-    }
+    np.savez(npz_path, **{name: getattr(ens, name) for name in _ARRAYS})
     with open(json_path, "w") as fh:
-        json.dump(sidecar, fh, indent=1)
-    return bin_path, json_path
+        json.dump({name: getattr(ens, name) for name in _SCALARS}, fh, indent=1)
+    return npz_path, json_path
 
 
 def load_ensemble(stem: str) -> PathEnsemble:
-    bin_path, json_path = stem + ".bin", stem + ".json"
-    with open(json_path) as fh:
+    """The ensemble save_ensemble wrote at stem.  ValueError for a sidecar
+    without the five scalars or of an unknown kind, for an .npz that is not a
+    readable zip, and for arrays that are missing, not float64, or of shapes
+    that disagree."""
+    with open(stem + ".json") as fh:
         sidecar = json.load(fh)
-    with open(bin_path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not an ensemble file")
-        N, M, dt, seed, kind_code, dim, C = struct.unpack("<QQdQQQQ", fh.read(56))
-        unwrapped = np.empty((N, M + 1, dim))
-        drift = np.empty((N, M + 1, dim))
-        dW = np.empty((N, M, C))
-        for j in range(M + 1):
-            fh.read(N * dim * 8)  # wrapped block is derived data
-            unwrapped[:, j] = np.frombuffer(fh.read(N * dim * 8), dtype="<f8").reshape(N, dim)
-            drift[:, j] = np.frombuffer(fh.read(N * dim * 8), dtype="<f8").reshape(N, dim)
-            block = np.frombuffer(fh.read(N * C * 8), dtype="<f8").reshape(N, C)
-            if j < M:
-                dW[:, j] = block
-    return PathEnsemble(
-        kind=_KIND_NAMES[int(kind_code)],
-        nu=sidecar.get("nu"),
-        dt=dt,
-        seed=int(seed),
-        unwrapped=unwrapped,
-        drift=drift,
-        dW=dW,
-        meta=sidecar.get("meta", {}),
-    )
+    if not isinstance(sidecar, dict) or set(sidecar) != set(_SCALARS):
+        raise ValueError(f"ensemble sidecar must hold exactly {_SCALARS}")
+    if sidecar["kind"] not in KINDS:
+        raise ValueError(f"unknown ensemble kind {sidecar['kind']!r}")
+    try:
+        with np.load(stem + ".npz", allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in _ARRAYS if name in npz.files}
+    except (zipfile.BadZipFile, EOFError, TypeError) as exc:  # truncated, corrupted, or an .npy
+        raise ValueError(f"not a readable .npz ensemble file: {exc}") from exc
+    missing = [name for name in _ARRAYS if name not in arrays]
+    if missing:
+        raise ValueError(f"ensemble file lacks {missing}")
+    if any(a.dtype != np.float64 or a.ndim != 3 for a in arrays.values()):
+        raise ValueError("ensemble arrays must be three-dimensional float64")
+    unwrapped, drift, dW = (arrays[name] for name in _ARRAYS)
+    if unwrapped.shape != drift.shape or dW.shape[:2] != (unwrapped.shape[0], unwrapped.shape[1] - 1):
+        raise ValueError("ensemble array shapes disagree")
+    return PathEnsemble(**sidecar, **arrays)

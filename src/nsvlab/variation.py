@@ -22,10 +22,14 @@ from .fields import FourierVectorField, TWO_PI
 from .flows import TimeDependentVelocity
 from .sde import PathEnsemble, REVERSED
 
-# central-difference step of the first variation's spatial derivatives, and
-# the relative tolerance within which its two Richardson extrapolants agree
+# the first variation's finite differences: the central-difference step of
+# its spatial derivatives, its epsilon levels (each half the last), the
+# relative tolerance within which its two Richardson extrapolants agree, and
+# the RK4 steps of the perturbation flow of a non-shear test field
 FD_STEP = 1e-3
+FD_LEVELS = (0.1, 0.05, 0.025)
 EXTRAPOLANT_TOL = 0.05
+FLOW_STEPS = 4
 # minimality gates: standard errors of a paired comparison, and the slack of
 # the Poincare ratio's bound 1
 GATE_SE = 3.0
@@ -36,7 +40,7 @@ ACCELERATION_BINS = 16
 # -- perturbation flows --------------------------------------------------------
 
 
-def _flow_map(w: FourierVectorField, points: np.ndarray, n_steps: int = 4):
+def _flow_map(w: FourierVectorField, points: np.ndarray, n_steps: int = FLOW_STEPS):
     """The map tau -> flow of dx/ds = w(x) from points over per-point horizons
     tau (scalar or array), for many tau on one point set.
 
@@ -71,13 +75,13 @@ def _flow_map(w: FourierVectorField, points: np.ndarray, n_steps: int = 4):
     return flow
 
 
-def flow_points(w: FourierVectorField, tau, points: np.ndarray, n_steps: int = 4) -> np.ndarray:
+def flow_points(w: FourierVectorField, tau, points: np.ndarray, n_steps: int = FLOW_STEPS) -> np.ndarray:
     """Flow of dx/ds = w(x) over per-point horizons tau (scalar or array):
     x + tau w(x) for a shear field, n_steps RK4 steps otherwise (see _flow_map)."""
     return _flow_map(w, points, n_steps)(tau)
 
 
-def flow_psi(pair: TestPair, eps: float, t, points: np.ndarray, n_steps: int = 4) -> np.ndarray:
+def flow_psi(pair: TestPair, eps: float, t, points: np.ndarray, n_steps: int = FLOW_STEPS) -> np.ndarray:
     """Frozen-time perturbation: integrate alpha(t) w for parameter length eps.
 
     Equivalently the flow of w for time eps * alpha(t).  For an autonomous
@@ -96,8 +100,6 @@ def first_variation_fd(
     ens: PathEnsemble,
     pairs: TestPair | list[TestPair],
     nu: float,
-    eps_list: tuple = (0.1, 0.05, 0.025),
-    n_flow_steps: int = 4,
 ) -> EstimateWithError | list[EstimateWithError]:
     """Central-difference dS(Psi_eps(g))/d eps at eps = 0 along one test pair,
     or the list of them along a list of pairs, Richardson refined.
@@ -114,22 +116,16 @@ def first_variation_fd(
 
     Common random numbers throughout: every epsilon reuses the same stored
     paths, so per-path derivative samples difference away most noise.  The
-    two Richardson extrapolants from consecutive epsilon pairs must agree
-    within EXTRAPOLANT_TOL relative to scale, else the step schedule is
-    rejected as too coarse or too fine.  n_flow_steps sets the RK4 steps of
-    the perturbation flow and acts only on non-shear test fields.
+    two Richardson extrapolants from consecutive levels of FD_LEVELS must
+    agree within EXTRAPOLANT_TOL relative to scale, else the levels are
+    rejected as too coarse or too fine.  A non-shear test field's flow takes
+    FLOW_STEPS RK4 steps.
 
     Everything that does not depend on eps is built once: the stencil of
     sample points and its drift-direction and axis neighbours for all the
     pairs, and for each distinct field its flow map on the stencil, which for
     a shear field holds w(stencil), so each eps costs one multiply-add there.
     """
-    if len(eps_list) < 2:
-        raise ValueError("need at least two epsilon levels")
-    eps_list = sorted(eps_list, reverse=True)
-    for a, b in zip(eps_list, eps_list[1:]):
-        if abs(a / b - 2.0) > 1e-9:
-            raise ValueError("epsilon schedule must halve at each level")
     N, Mp1, dim = ens.unwrapped.shape
     pts = ens.unwrapped.reshape(-1, dim)
     v = ens.drift.reshape(-1, dim)
@@ -162,25 +158,18 @@ def first_variation_fd(
     def derivative(flow, pair):
         # profiles on the distinct grid times, tiled over the paths
         alpha, dalpha = np.tile(pair.alpha(ens.times), N), np.tile(pair.dalpha(ens.times), N)
-        central = {}
-        for eps in eps_list:
+        central = []
+        for eps in FD_LEVELS:
             s_plus = perturbed_action_per_path(flow, pair.w, alpha, dalpha, +eps)
             s_minus = perturbed_action_per_path(flow, pair.w, alpha, dalpha, -eps)
-            central[eps] = (s_plus - s_minus) / (2.0 * eps)
-        extrapolants = [
-            (4.0 * central[b] - central[a]) / 3.0 for a, b in zip(eps_list, eps_list[1:])
-        ]
-        best = EstimateWithError.from_samples(extrapolants[-1])
-        if len(extrapolants) >= 2:
-            prev = EstimateWithError.from_samples(extrapolants[-2])
-            scale = max(abs(best.value), 3.0 * best.std_error, 1e-12)
-            if abs(best.value - prev.value) > EXTRAPOLANT_TOL * scale + 3.0 * best.combined_se(prev):
-                raise FloatingPointError(
-                    "Richardson extrapolants disagree; adjust the epsilon schedule"
-                )
+            central.append((s_plus - s_minus) / (2.0 * eps))
+        prev, best = (EstimateWithError.from_samples((4.0 * b - a) / 3.0) for a, b in zip(central, central[1:]))
+        scale = max(abs(best.value), 3.0 * best.std_error, 1e-12)
+        if abs(best.value - prev.value) > EXTRAPOLANT_TOL * scale + 3.0 * best.combined_se(prev):
+            raise FloatingPointError("Richardson extrapolants disagree; adjust FD_LEVELS")
         return best
 
-    return estimate_by_field(pairs, lambda w: _flow_map(w, stencil, n_flow_steps), derivative)
+    return estimate_by_field(pairs, lambda w: _flow_map(w, stencil), derivative)
 
 
 # -- endpoint-pinned competitors -------------------------------------------------

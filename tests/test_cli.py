@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import typing
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from nsvlab.cli import (
     EXPERIMENTS,
+    PEAK_BYTES_PER_STEP,
     READS_N,
     RUNNERS,
     STORED_ENSEMBLE,
@@ -105,7 +107,20 @@ class TestValidate:
     def test_ensemble_past_float_range_rejected_in_one_line(self, experiment):
         issues = validate(make_config(experiment, N=10**400))
         assert [i["level"] for i in issues] == ["error"]
-        assert "stores a inf GB ensemble" in issues[0]["message"]
+        assert "needs about inf GB at peak" in issues[0]["message"]
+
+    @pytest.mark.parametrize("experiment", STORED_ENSEMBLE)
+    def test_memory_bound_counts_the_measured_peak(self, experiment, monkeypatch):
+        # 8 GB of physical memory: the largest N at M = 999 whose measured peak
+        # fits passes, and one path more is rejected, though its stored arrays
+        # (48 bytes per path-step) would fit
+        pages = {"SC_PHYS_PAGES": 2 * 10**6, "SC_PAGE_SIZE": 4000}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        N = 8 * 10**9 // (PEAK_BYTES_PER_STEP[experiment] * 1000)
+        assert validate(make_config(experiment, N=N, M=999)) == []
+        issues = validate(make_config(experiment, N=N + 1, M=999))
+        assert [i["message"].split(" needs")[0] for i in issues] == [f"N x M = {N + 1} x 999"]
+        assert "physical memory" in issues[0]["message"] and 48 * (N + 1) * 1000 < 8 * 10**9
 
     def test_horizon_past_float_range_warns(self):
         issues = validate(make_config("minimality", T=1e200))
@@ -472,14 +487,32 @@ class TestSimulateUniformMarginals:
 
         import nsvlab.cli as cli
 
-        # density proportional to x^(-1/3) on [0, 2pi): its KS distance to uniform is 0.148
-        skewed = lambda u: 2 * np.pi * u**1.5
-        law = ("product", (skewed, skewed))
+        # every path starts at one point: at nu = 0.1 the spread sqrt(2 nu t) stays
+        # below 0.45, far from uniform on [0, 2pi) at each tested time
+        law = ("fixed", (1.0, 2.0))
         monkeypatch.setattr(cli, "SdeParams", functools.partial(cli.SdeParams, initial_law=law))
         cfg = make_config("simulate", drift="zero", N=2000, M=40, output_dir=str(tmp_path))
         report = Report(cfg)
         RUNNERS["simulate"](cfg, report, str(tmp_path))
         assert {v["name"]: v["pass"] for v in report.verdicts}["uniform_marginals"] is False
+
+
+class TestMeasurePreservation:
+    def test_gradient_frame_fails_density_one(self, tmp_path, monkeypatch):
+        # a frame of gradient fields, k_perp replaced by k, is not solenoidal
+        import nsvlab.fields as fields
+
+        solenoidal = fields.SpectralBasis.__post_init__
+
+        def gradient_frame(self):
+            solenoidal(self)
+            self.kperp = self.kvecs.copy()
+
+        monkeypatch.setattr(fields.SpectralBasis, "__post_init__", gradient_frame)
+        cfg = make_config("measure-preservation", N=200, M=40, output_dir=str(tmp_path))
+        report = Report(cfg)
+        RUNNERS["measure-preservation"](cfg, report, str(tmp_path))
+        assert {v["name"]: v["pass"] for v in report.verdicts}["density_one_for_solenoidal"] is False
 
 
 class TestPlots:

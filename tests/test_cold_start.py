@@ -13,19 +13,27 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Imports nsvlab, then runs three CLI experiments and the spectral library
-# chain at small sizes; prints the scipy modules loaded by the import and the
+# Imports nsvlab, then runs four CLI experiments (simulate saving its paths),
+# loads the saved ensemble back and runs the spectral library chain, all at
+# small sizes; prints the scipy modules loaded by the import and the
 # numpy or scipy modules first loaded during the runs.
 PROBE = """
-import json, sys
+import json, os, sys
 sys.path.insert(0, sys.argv[1])
 import nsvlab, nsvlab.cli
 at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 u0 = nsvlab.random_divergence_free(4, seed=3)
 bank = nsvlab.default_test_bank(nsvlab.SpectralBasis(3.0, 4, 0.1), 1.0)
 before = set(sys.modules)
-for argv in (["criticality", "--N", "16", "--M", "16"], ["minimality", "--N", "16", "--M", "16"], ["bridge", "--N", "16"]):
+runs = (
+    ["criticality", "--N", "16", "--M", "16"],
+    ["minimality", "--N", "16", "--M", "16"],
+    ["bridge", "--N", "16"],
+    ["simulate", "--N", "16", "--M", "16", "--save-paths"],
+)
+for argv in runs:
     nsvlab.cli.main(argv + ["--out", sys.argv[2]])
+assert nsvlab.load_ensemble(os.path.join(sys.argv[2], "ensemble")).unwrapped.shape == (16, 17, 2)
 drift = nsvlab.solve_navier_stokes(u0, nu=0.1, T=1.0, M=16)
 ens = nsvlab.simulate_ito(nsvlab.SdeParams(nu=0.1, T=1.0, drift_source=drift), 16, 16, seed=3)
 occ = nsvlab.occupation_measure(ens, thin=2)

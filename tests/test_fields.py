@@ -14,7 +14,6 @@ from nsvlab.fields import (
     SpectralBasis,
     SpectralError,
     _axis_table_sum,
-    _phase_gradient,
     _phase_sum,
     _wavegrid,
     dense_modes,
@@ -571,7 +570,7 @@ class TestKernelPath:
         np.testing.assert_array_equal(trig_sum(pts, kv, cf, mean), (table if extra else phase) + mean)
         np.testing.assert_allclose(trig_sum(pts, kv, cf, mean), full_lattice_sum(coeffs, pts), rtol=0, atol=1e-14 * scale)
         ik = (1j * kv).reshape(kv.shape[:1] + (1,) * (cf.ndim - 1) + (2,))
-        grad_phase, grad_table = _phase_gradient(pts, kv, cf), _axis_table_sum(pts, kv, cf[..., None] * ik)
+        grad_phase, grad_table = _phase_sum(pts, kv, cf[..., None] * ik), _axis_table_sum(pts, kv, cf[..., None] * ik)
         np.testing.assert_allclose(grad_table, grad_phase, rtol=0, atol=1e-14 * scale * K)
         np.testing.assert_array_equal(trig_gradient(pts, kv, cf), grad_table if extra else grad_phase)
 

@@ -1,6 +1,8 @@
 """Ensemble simulation: statistics, reproducibility, densities, persistence."""
 
+import json
 import os
+import re
 import tempfile
 
 import hypothesis.extra.numpy as hnp
@@ -14,7 +16,7 @@ from nsvlab.fields import FourierScalarField, SpectralBasis
 from nsvlab.flows import steady_flow, taylor_green
 from nsvlab.sde import (
     FORWARD,
-    KIND_CODES,
+    KINDS,
     REVERSED,
     PathEnsemble,
     SdeParams,
@@ -89,17 +91,6 @@ class TestItoEngine:
         se = dt * np.sqrt(2.0 / (n - 1))
         for c in range(flat.shape[1]):
             assert abs(flat[:, c].var(ddof=1) - dt) <= 5 * se
-
-    def test_product_initial_law(self):
-        from scipy import stats
-
-        # coordinate 0 uniform, coordinate 1 with density ~ 1/sqrt(x) via u -> 2 pi u^2
-        law = ("product", (lambda u: 2 * np.pi * u, lambda u: 2 * np.pi * u**2))
-        ens = simulate_ito(SdeParams(nu=NU, T=T, initial_law=law), N=4000, M=2, seed=31)
-        x0 = ens.unwrapped[:, 0]
-        assert stats.kstest(x0[:, 0] / (2 * np.pi), "uniform").pvalue > 1e-3
-        cdf = lambda x: np.sqrt(x / (2 * np.pi))
-        assert stats.kstest(x0[:, 1], cdf).pvalue > 1e-3
 
     def test_fixed_initial_law(self):
         ens = simulate_ito(
@@ -312,6 +303,54 @@ class TestPersistence:
         assert back.dt == heat_ensemble.dt
         assert back.seed == heat_ensemble.seed
 
+    def test_npz_opens_with_np_load(self, tmp_path, heat_ensemble):
+        npz_path, json_path = save_ensemble(heat_ensemble, str(tmp_path / "ens"))
+        with np.load(npz_path) as npz:
+            assert sorted(npz.files) == ["dW", "drift", "unwrapped"]
+            np.testing.assert_array_equal(npz["dW"], heat_ensemble.dW)
+        with open(json_path) as fh:
+            assert sorted(json.load(fh)) == ["dt", "kind", "meta", "nu", "seed"]
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda arrays, sidecar: sidecar.update(kind="levy"), "unknown ensemble kind"),
+            (lambda arrays, sidecar: sidecar.pop("dt"), "sidecar must hold exactly"),
+            (lambda arrays, sidecar: arrays.pop("drift"), "lacks ['drift']"),
+            (lambda arrays, sidecar: arrays.update(dW=arrays["dW"].astype(np.float32)), "float64"),
+            (lambda arrays, sidecar: arrays.update(drift=arrays["drift"][:, :-1]), "shapes disagree"),
+            (lambda arrays, sidecar: arrays.update(dW=arrays["dW"][:-1]), "shapes disagree"),
+            (lambda arrays, sidecar: arrays.update(dW=arrays["dW"][:, 1:]), "shapes disagree"),
+        ],
+        ids=["kind", "scalar", "array", "dtype", "drift-shape", "dW-paths", "dW-steps"],
+    )
+    def test_malformed_files_rejected(self, tmp_path, spoil, message):
+        ens = simulate_ito(SdeParams(nu=NU, T=T), N=4, M=3, seed=1)
+        arrays = {"unwrapped": ens.unwrapped, "drift": ens.drift, "dW": ens.dW}
+        sidecar = {"kind": ens.kind, "nu": ens.nu, "dt": ens.dt, "seed": ens.seed, "meta": ens.meta}
+        spoil(arrays, sidecar)
+        stem = str(tmp_path / "ens")
+        np.savez(stem + ".npz", **arrays)
+        with open(stem + ".json", "w") as fh:
+            json.dump(sidecar, fh)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_ensemble(stem)
+
+    @pytest.mark.parametrize("keep", [0, 100, -100, None], ids=["empty", "header", "tail-cut", "npy"])
+    def test_unreadable_file_rejected(self, tmp_path, keep):
+        ens = simulate_ito(SdeParams(nu=NU, T=T), N=4, M=3, seed=1)
+        npz_path, _ = save_ensemble(ens, str(tmp_path / "ens"))
+        if keep is None:  # a single array in .npy format under the .npz name
+            with open(npz_path, "wb") as fh:
+                np.save(fh, ens.unwrapped)
+        else:
+            with open(npz_path, "rb") as fh:
+                data = fh.read()
+            with open(npz_path, "wb") as fh:
+                fh.write(data[:keep])
+        with pytest.raises(ValueError, match="not a readable .npz"):
+            load_ensemble(str(tmp_path / "ens"))
+
 
 def ensemble_cases():
     """Ensembles of every kind with arbitrary float64 contents, NaN, infinities
@@ -322,7 +361,7 @@ def ensemble_cases():
     def build(draw):
         N, M, dim, C = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
         return PathEnsemble(
-            kind=draw(st.sampled_from(sorted(KIND_CODES))),
+            kind=draw(st.sampled_from(KINDS)),
             nu=draw(st.none() | st.floats(1e-6, 1e6)),
             dt=draw(st.floats(1e-9, 10.0)),
             seed=draw(st.integers(0, 2**64 - 1)),

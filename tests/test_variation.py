@@ -200,10 +200,14 @@ class TestFdBank:
         params = SdeParams(nu=NU, T=T, drift_source=tg_flow, orientation=FORWARD)
         return simulate_ito(params, N=150, M=60, seed=21)
 
+    def test_every_bank_field_is_shear(self, bank):
+        # so the CLI's FD estimates take the closed-form flow, whatever FLOW_STEPS is
+        assert all(pair.w.is_shear() for pair in bank)
+
     def test_default_bank_matches_per_pair_loop_bitwise(self, small_tg, bank):
-        got = first_variation_fd(small_tg, bank, NU, n_flow_steps=2)
-        assert got == [old_fd(small_tg, pair, NU, n_flow_steps=2) for pair in bank]
-        assert [first_variation_fd(small_tg, pair, NU, n_flow_steps=2) for pair in bank] == got
+        got = first_variation_fd(small_tg, bank, NU)
+        assert got == [old_fd(small_tg, pair, NU) for pair in bank]
+        assert [first_variation_fd(small_tg, pair, NU) for pair in bank] == got
 
     def test_non_shear_bank_matches_per_pair_loop_bitwise(self, tg_flow, bank):
         params = SdeParams(nu=NU, T=T, drift_source=tg_flow, orientation=FORWARD)
@@ -211,15 +215,15 @@ class TestFdBank:
         w = random_divergence_free(2, 5)
         assert not w.is_shear() and w._compiled()[0].shape[0] > 1
         pairs = [TestPair(f"rnd{i}", w, p.alpha, p.dalpha, T) for i, p in enumerate(bank[:2])]
-        got = first_variation_fd(ens, pairs, NU, eps_list=(0.1, 0.05), n_flow_steps=2)
-        assert got == [old_fd(ens, p, NU, eps_list=(0.1, 0.05), n_flow_steps=2) for p in pairs]
+        got = first_variation_fd(ens, pairs, NU)
+        assert got == [old_fd(ens, p, NU) for p in pairs]
 
     @pytest.mark.parametrize("shear", [True, False])
     def test_non_finite_horizon_raises(self, small_tg, bank, shear):
         w = bank[0].w if shear else random_divergence_free(2, 5)
         blowup = TestPair("inf", w, lambda t: np.where((t > 0) & (t < T), np.inf, 0.0), bank[0].dalpha, T)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-            first_variation_fd(small_tg, [bank[1], blowup], NU, n_flow_steps=2)
+            first_variation_fd(small_tg, [bank[1], blowup], NU)
 
 
 class TestFirstVariation:
@@ -236,20 +240,20 @@ class TestFirstVariation:
 
     def test_fd_agrees_with_direct(self, ens_forward, bank):
         for pair in (bank[2], bank[5]):
-            fd = first_variation_fd(ens_forward, pair, NU, n_flow_steps=2)
+            fd = first_variation_fd(ens_forward, pair, NU)
             dv = first_variation_direct(ens_forward, pair, NU)
             assert abs(fd.value - dv.value) <= 3 * fd.combined_se(dv), pair.name
 
     def test_fd_sign_flips_with_field(self, ens_forward, bank):
         pair = bank[2]
         flipped = TestPair("neg", pair.w * -1.0, pair.alpha, pair.dalpha, T)
-        a = first_variation_fd(ens_forward, pair, NU, eps_list=(0.1, 0.05), n_flow_steps=2)
-        b = first_variation_fd(ens_forward, flipped, NU, eps_list=(0.1, 0.05), n_flow_steps=2)
+        a = first_variation_fd(ens_forward, pair, NU)
+        b = first_variation_fd(ens_forward, flipped, NU)
         assert a.value == pytest.approx(-b.value, abs=3 * a.combined_se(b))
 
     def test_fd_zero_drift_small(self, bank):
         ens = simulate_ito(SdeParams(nu=NU, T=T), N=400, M=60, seed=4)
-        est = first_variation_fd(ens, bank[0], NU, eps_list=(0.1, 0.05), n_flow_steps=2)
+        est = first_variation_fd(ens, bank[0], NU)
         assert abs(est.value) <= max(3 * est.std_error, 5e-4)
 
     def test_corrupted_drift_detected(self, bank, tg_flow):
