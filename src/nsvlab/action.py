@@ -28,7 +28,7 @@ import numpy as np
 from .estimates import EstimateWithError
 from .fields import FourierVectorField, SpectralBasis, deformation_laplacian, stack_active_modes
 from .flows import TimeDependentVelocity
-from .sde import PathEnsemble
+from .sde import PathEnsemble, running_integral, time_weights
 
 
 @dataclass
@@ -83,9 +83,6 @@ class OccupationSet:
     n_paths: int
     n_times: int
 
-    def __len__(self) -> int:
-        return self.t.size
-
 
 def occupation_measure(ens: PathEnsemble, thin: int = 1) -> OccupationSet:
     """Emit (t_j, g_{t_j}, D_{t_j} g) for strided grid times across all paths."""
@@ -110,14 +107,7 @@ def _speed_squared(drift: np.ndarray) -> np.ndarray:
 
 def action_per_path(drift: np.ndarray, dt: float) -> np.ndarray:
     """Per-path kinetic action 0.5 int |drift|^2 dt (trapezoid) of (N, M+1, dim) drifts."""
-    return 0.5 * np.trapezoid(_speed_squared(drift), dx=dt, axis=1)
-
-
-def running_integral(y: np.ndarray, dt: float) -> np.ndarray:
-    """Running trapezoid integral along axis 1 of y, zero at the first grid time."""
-    out = np.zeros_like(y)
-    np.cumsum(0.5 * (y[:, :-1] + y[:, 1:]) * dt, axis=1, out=out[:, 1:])
-    return out
+    return 0.5 * (_speed_squared(drift) @ time_weights(drift.shape[1], dt))
 
 
 def action(ens: PathEnsemble) -> EstimateWithError:
@@ -144,21 +134,6 @@ def group_by_identity(objects: list) -> list[tuple[object, list[int]]]:
     for i, obj in enumerate(objects):
         groups.setdefault(id(obj), (obj, []))[1].append(i)
     return list(groups.values())
-
-
-def estimate_by_field(pairs, prepare, estimate):
-    """estimate(prepare(w), pair) for one TestPair, or a list of them for a
-    list of pairs, with prepare called once per distinct field w and its
-    result freed before the next field is prepared."""
-    one = isinstance(pairs, TestPair)
-    bank = [pairs] if one else list(pairs)
-    out = [None] * len(bank)
-    for w, idx in group_by_identity([pair.w for pair in bank]):
-        prepared = prepare(w)
-        for i in idx:
-            out[i] = estimate(prepared, bank[i])
-        del prepared
-    return out[0] if one else out
 
 
 def _weak_terms(w: FourierVectorField, x: np.ndarray, v: np.ndarray):
@@ -201,28 +176,27 @@ def _weak_terms(w: FourierVectorField, x: np.ndarray, v: np.ndarray):
     return a, b, c
 
 
-def _weak_integrals(pairs, nu: float, times: np.ndarray, x: np.ndarray, v: np.ndarray, fold):
-    """fold(pair, integrand) for one test pair or each of a list of pairs (see
-    estimate_by_field), where the per-sample weak-form integrand at (t, x, v) is
+def _weak_integrals(bank: list, nu: float, times: np.ndarray, weights: np.ndarray, x: np.ndarray, v: np.ndarray):
+    """Per test pair of bank, the per-path contraction with the time weights
+    `weights` of the per-sample weak-form integrand at (t, x, v),
 
         alpha'(t) w(x).v + alpha(t) (grad_v w)(x).v - nu alpha(t) (2 Def*Def w)(x).v.
 
-    The samples x and v are laid out path-major over the grid times `times`, and
-    fold receives the integrand as a (paths, times) array.  Each distinct field is
-    evaluated once, and its spatial terms a = w.v, b = v.(grad w)v and
-    c = (2 Def*Def w).v serve all its profiles, which are evaluated on the
-    distinct times only.
+    The samples x and v are laid out path-major over the grid times `times`.
+    Each distinct field is evaluated once, into a = w.v and b - nu c with
+    b = v.(grad w)v and c = (2 Def*Def w).v, which serve all its profiles:
+    a pair's vector is a @ (alpha' weights) + (b - nu c) @ (alpha weights),
+    with the profiles evaluated on the distinct times only.
     """
-
-    def spatial_terms(w):
-        return [y.reshape(-1, times.size) for y in _weak_terms(w, x, v)]
-
-    def integral(terms, pair):
-        a, b, c = terms
-        alpha = pair.alpha(times)
-        return fold(pair, pair.dalpha(times) * a + alpha * b - nu * alpha * c)
-
-    return estimate_by_field(pairs, spatial_terms, integral)
+    out = [None] * len(bank)
+    for w, idx in group_by_identity([pair.w for pair in bank]):
+        a, b, c = (y.reshape(-1, times.size) for y in _weak_terms(w, x, v))
+        c *= nu
+        b -= c
+        for i in idx:
+            out[i] = a @ (bank[i].dalpha(times) * weights) + b @ (bank[i].alpha(times) * weights)
+        del a, b, c  # freed before the next field's terms are formed
+    return out
 
 
 def dpm_residual(
@@ -242,12 +216,11 @@ def dpm_residual(
     if samples.n_times < 2:
         raise ValueError("need at least two sampled times per path")
     span = samples.t[samples.n_times - 1] - samples.t[0]
-
-    def fold(pair, vals):
-        per_path = np.trapezoid(vals, dx=span / (samples.n_times - 1), axis=1) * pair.T / span
-        return EstimateWithError.from_samples(per_path)
-
-    return _weak_integrals(pairs, nu, samples.t[: samples.n_times], samples.x, samples.v, fold)
+    weights = time_weights(samples.n_times, span / (samples.n_times - 1))
+    bank = [pairs] if isinstance(pairs, TestPair) else list(pairs)
+    per_path = _weak_integrals(bank, nu, samples.t[: samples.n_times], weights, samples.x, samples.v)
+    ests = [EstimateWithError.from_samples(y * pair.T / span) for pair, y in zip(bank, per_path)]
+    return ests[0] if isinstance(pairs, TestPair) else ests
 
 
 def first_variation_direct(
@@ -261,11 +234,10 @@ def first_variation_direct(
     """
     pts = ens.unwrapped.reshape(-1, ens.dim)
     v = ens.drift.reshape(-1, ens.dim)
-
-    def fold(pair, integrand):
-        return EstimateWithError.from_samples(np.trapezoid(integrand, dx=ens.dt, axis=1))
-
-    return _weak_integrals(pairs, nu, ens.times, pts, v, fold)
+    weights = time_weights(ens.n_steps + 1, ens.dt)
+    bank = [pairs] if isinstance(pairs, TestPair) else list(pairs)
+    ests = [EstimateWithError.from_samples(y) for y in _weak_integrals(bank, nu, ens.times, weights, pts, v)]
+    return ests[0] if isinstance(pairs, TestPair) else ests
 
 
 def weak_ns_residual(u: TimeDependentVelocity, pair: TestPair) -> float:
@@ -293,4 +265,4 @@ def weak_ns_residual(u: TimeDependentVelocity, pair: TestPair) -> float:
     cubic = np.einsum("txya,xyab,txyb->t", U, J, U) / (n * n)
     t = u.times
     integrand = pair.dalpha(t) * lin_w + pair.alpha(t) * (cubic - u.nu * lin_box)
-    return float(np.trapezoid(integrand, t))
+    return float(integrand @ time_weights(t.size, u.T / max(t.size - 1, 1)))

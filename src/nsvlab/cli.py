@@ -176,6 +176,8 @@ def validate(config: ExperimentConfig) -> list[dict]:
     for name in ("M", "K"):
         if getattr(config, name) <= 0:
             err(f"{name} must be positive")
+    if config.experiment == "action" and config.M == 1:
+        err("action needs M >= 2: its bias fit reruns the drift at M // 2 steps")
     if config.T > 0 and config.M > 0:
         # an M past float range divides as the largest float, so T/M stays a float
         step = config.T / min(config.M, sys.float_info.max)
@@ -411,7 +413,7 @@ def run_ns_solve(config: ExperimentConfig, report: Report, outdir: str):
 
 def _simulate_from_config(config: ExperimentConfig, drift, orientation: str, N=None, M=None):
     params = SdeParams(nu=config.nu, T=config.T, drift_source=drift, orientation=orientation)
-    return simulate_ito(params, N or config.N, M or config.M, seed=config.seed)
+    return simulate_ito(params, config.N if N is None else N, config.M if M is None else M, seed=config.seed)
 
 
 def run_simulate(config: ExperimentConfig, report: Report, outdir: str):

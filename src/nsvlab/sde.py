@@ -12,6 +12,10 @@ loop, which builds every PathEnsemble; each engine only supplies its drift
 and step.  save_ensemble writes an ensemble as an .npz of its three arrays
 and a JSON sidecar of its scalars.
 
+The time quadrature on the uniform grid lives here too, and every per-path
+time integral in the package goes through it: time_weights for a whole
+integral, running_integral for its values at every grid time.
+
 Randomness is counter-based: path n draws from Philox keyed by the master
 seed with the fourth counter word set to n.  Streams are therefore
 independent of scheduling and worker count, and identical (seed, N, M,
@@ -224,6 +228,28 @@ def brownian_bridge(
     )
 
 
+# -- time quadrature --------------------------------------------------------------
+
+
+def time_weights(n: int, dx: float) -> np.ndarray:
+    """Trapezoid weights w on n uniform grid times of step dx, so that
+    int y dt = y @ w along the last axis of y.  Each end loses half a step;
+    a single time loses both halves, so its integral is 0."""
+    w = np.full(n, float(dx))
+    w[0] -= 0.5 * dx
+    w[-1] -= 0.5 * dx
+    return w
+
+
+def running_integral(y: np.ndarray, increments) -> np.ndarray:
+    """Running trapezoid integral along axis 1 of y, zero at the first grid
+    time.  increments is the step dt, or per-step (N, M) increments such as
+    Brownian ones, which make it a Stratonovich (midpoint) sum."""
+    out = np.zeros_like(y)
+    np.cumsum(0.5 * (y[:, :-1] + y[:, 1:]) * increments, axis=1, out=out[:, 1:])
+    return out
+
+
 # -- diagnostics ----------------------------------------------------------------
 
 
@@ -236,21 +262,20 @@ def measure_density(
 
     noise_divergences[i] is a callable giving div of the i-th noise field at
     a batch of points (one per stored channel, in channel order), and
-    drift_divergence the same for the drift field.  The Stratonovich
-    integrals use midpoint values of the integrand against the stored
-    increments, the drift part a trapezoidal time integral.  All-solenoidal
-    inputs make every exponent identically zero, hence K = 1 exactly.
+    drift_divergence the same for the drift field; each is evaluated once, at
+    every stored point.  The Stratonovich integrals use midpoint values of the
+    integrand against the stored increments, the drift part a trapezoidal
+    time integral.  All-solenoidal inputs make every exponent identically
+    zero, hence K = 1 exactly.
     """
-    N, Mp1, _ = ens.unwrapped.shape
-    pos = ens.unwrapped
+    N, Mp1, dim = ens.unwrapped.shape
+    pts = ens.unwrapped.reshape(-1, dim)
     terms = [(div, ens.dW[:, :, i]) for i, div in enumerate(noise_divergences)]
     if drift_divergence is not None:
         terms.append((drift_divergence, ens.dt))
     exponent = np.zeros((N, Mp1))
-    for div, increment in terms:
-        vals = np.stack([div(pos[:, j]) for j in range(Mp1)], axis=1)  # (N, M+1)
-        mid = 0.5 * (vals[:, :-1] + vals[:, 1:])
-        exponent[:, 1:] += np.cumsum(mid * increment, axis=1)
+    for div, increments in terms:
+        exponent += running_integral(div(pts).reshape(N, Mp1), increments)
     return np.exp(-exponent)
 
 

@@ -16,11 +16,11 @@ from typing import Callable
 import numpy as np
 from numpy.random import default_rng
 
-from .action import TestPair, action_per_path, estimate_by_field, group_by_identity, running_integral
+from .action import TestPair, action_per_path, group_by_identity
 from .estimates import EstimateWithError
 from .fields import FourierVectorField, TWO_PI
 from .flows import TimeDependentVelocity
-from .sde import PathEnsemble, REVERSED
+from .sde import PathEnsemble, REVERSED, running_integral, time_weights
 
 # the first variation's finite differences: the central-difference step of
 # its spatial derivatives, its epsilon levels (each half the last), the
@@ -81,7 +81,7 @@ def flow_points(w: FourierVectorField, tau, points: np.ndarray, n_steps: int = F
     return _flow_map(w, points, n_steps)(tau)
 
 
-def flow_psi(pair: TestPair, eps: float, t, points: np.ndarray, n_steps: int = FLOW_STEPS) -> np.ndarray:
+def flow_psi(pair: TestPair, eps: float, t, points: np.ndarray) -> np.ndarray:
     """Frozen-time perturbation: integrate alpha(t) w for parameter length eps.
 
     Equivalently the flow of w for time eps * alpha(t).  For an autonomous
@@ -90,19 +90,15 @@ def flow_psi(pair: TestPair, eps: float, t, points: np.ndarray, n_steps: int = F
     along s in [0, t] is the flow of w for time eps alpha(t).
     """
     tau = eps * pair.alpha(np.asarray(t, dtype=float))
-    return flow_points(pair.w, tau, points, n_steps)
+    return flow_points(pair.w, tau, points)
 
 
 # -- finite-difference first variation ------------------------------------------
 
 
-def first_variation_fd(
-    ens: PathEnsemble,
-    pairs: TestPair | list[TestPair],
-    nu: float,
-) -> EstimateWithError | list[EstimateWithError]:
+def first_variation_fd(ens: PathEnsemble, pair: TestPair, nu: float) -> EstimateWithError:
     """Central-difference dS(Psi_eps(g))/d eps at eps = 0 along one test pair,
-    or the list of them along a list of pairs, Richardson refined.
+    Richardson refined.
 
     Psi_eps pushes the ensemble forward, t -> Psi_eps^t(g_t) with Psi_eps^t the
     flow of w for time eps alpha(t) (see flow_psi).  The perturbed drift is
@@ -121,10 +117,10 @@ def first_variation_fd(
     rejected as too coarse or too fine.  A non-shear test field's flow takes
     FLOW_STEPS RK4 steps.
 
-    Everything that does not depend on eps is built once: the stencil of
-    sample points and its drift-direction and axis neighbours for all the
-    pairs, and for each distinct field its flow map on the stencil, which for
-    a shear field holds w(stencil), so each eps costs one multiply-add there.
+    Everything that does not depend on eps is built once and serves all six
+    levels: the stencil of sample points with its drift-direction and axis
+    neighbours, and the flow map of w on it, which for a shear field holds
+    w(stencil), so each eps costs one multiply-add there.
     """
     N, Mp1, dim = ens.unwrapped.shape
     pts = ens.unwrapped.reshape(-1, dim)
@@ -145,31 +141,27 @@ def first_variation_fd(
         ]
     )
     del unit
+    flow = _flow_map(pair.w, stencil)
+    # profiles on the distinct grid times, tiled over the paths
+    alpha, dalpha = np.tile(pair.alpha(ens.times), N), np.tile(pair.dalpha(ens.times), N)
 
-    def perturbed_action_per_path(flow, w, alpha, dalpha, eps):
+    def perturbed_action_per_path(eps):
         """Per-path action of the ensemble pushed forward by Psi_eps."""
         base, dp, dm, e1p, e1m, e2p, e2m = np.split(flow(np.tile(eps * alpha, 7)), 7)
-        time_part = (eps * dalpha)[:, None] * w.evaluate_at(base)
+        time_part = (eps * dalpha)[:, None] * pair.w.evaluate_at(base)
         transport_part = speed[:, None] * (dp - dm) / (2.0 * FD_STEP)
         laplace_part = nu * (e1p + e1m + e2p + e2m - 4.0 * base) / FD_STEP**2
         drift_new = time_part + transport_part + laplace_part
         return action_per_path(drift_new.reshape(N, Mp1, dim), ens.dt)
 
-    def derivative(flow, pair):
-        # profiles on the distinct grid times, tiled over the paths
-        alpha, dalpha = np.tile(pair.alpha(ens.times), N), np.tile(pair.dalpha(ens.times), N)
-        central = []
-        for eps in FD_LEVELS:
-            s_plus = perturbed_action_per_path(flow, pair.w, alpha, dalpha, +eps)
-            s_minus = perturbed_action_per_path(flow, pair.w, alpha, dalpha, -eps)
-            central.append((s_plus - s_minus) / (2.0 * eps))
-        prev, best = (EstimateWithError.from_samples((4.0 * b - a) / 3.0) for a, b in zip(central, central[1:]))
-        scale = max(abs(best.value), 3.0 * best.std_error, 1e-12)
-        if abs(best.value - prev.value) > EXTRAPOLANT_TOL * scale + 3.0 * best.combined_se(prev):
-            raise FloatingPointError("Richardson extrapolants disagree; adjust FD_LEVELS")
-        return best
-
-    return estimate_by_field(pairs, lambda w: _flow_map(w, stencil), derivative)
+    central = [
+        (perturbed_action_per_path(+eps) - perturbed_action_per_path(-eps)) / (2.0 * eps) for eps in FD_LEVELS
+    ]
+    prev, best = (EstimateWithError.from_samples((4.0 * b - a) / 3.0) for a, b in zip(central, central[1:]))
+    scale = max(abs(best.value), 3.0 * best.std_error, 1e-12)
+    if abs(best.value - prev.value) > EXTRAPOLANT_TOL * scale + 3.0 * best.combined_se(prev):
+        raise FloatingPointError("Richardson extrapolants disagree; adjust FD_LEVELS")
+    return best
 
 
 # -- endpoint-pinned competitors -------------------------------------------------
@@ -257,13 +249,6 @@ def pinned_family(base: PathEnsemble, count: int, seed: int = 0) -> list[tuple[s
 # -- minimality and acceleration diagnostics -------------------------------------
 
 
-def _trapezoid_weights(dt: float, n: int) -> np.ndarray:
-    """Weights w of the trapezoid rule on n uniform grid times: int y dt = y @ w."""
-    w = np.full(n, dt)
-    w[[0, -1]] = 0.5 * dt
-    return w
-
-
 def _pressure_along(ens: PathEnsemble, members: list, u: TimeDependentVelocity) -> np.ndarray:
     """Time-reversed pressure q(T - t_j, x_j) summed by trapezoid along the paths of
     ens (row 0) and of each member (row i), all in one pressure_at call per t_j
@@ -275,7 +260,7 @@ def _pressure_along(ens: PathEnsemble, members: list, u: TimeDependentVelocity) 
         (beta, 1 + np.array(idx), np.array([members[i].direction for i in idx])[:, None, :])
         for beta, idx in group_by_identity([m.beta for m in members])
     ]
-    weights = _trapezoid_weights(ens.dt, Mp1)
+    weights = time_weights(Mp1, ens.dt)
     sums = np.zeros((1 + len(members), N))
     pts = np.empty((1 + len(members), N, dim))
     for j in range(Mp1):
@@ -317,7 +302,7 @@ def minimality_check(ens: PathEnsemble, members: list, u: TimeDependentVelocity)
     est_S = EstimateWithError.from_samples(S_g)
     est_B = EstimateWithError.from_samples(B_g)
 
-    weights = _trapezoid_weights(ens.dt, ens.n_steps + 1)
+    weights = time_weights(ens.n_steps + 1, ens.dt)
     shared = {}
     rows = []
     all_ok = True

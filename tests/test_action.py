@@ -102,12 +102,12 @@ class TestOccupation:
         params = SdeParams(nu=NU, T=T)
         ens = simulate_ito(params, N=1, M=4, seed=0)
         samples = occupation_measure(ens, thin=1)
-        assert len(samples) == 5
+        assert samples.t.size == 5
         assert samples.t.shape == (5,) and samples.x.shape == samples.v.shape == (5, 2)
 
     def test_normalization(self, tg_forward):
         samples = occupation_measure(tg_forward, thin=4)
-        ones = np.ones(len(samples))
+        ones = np.ones(samples.t.size)
         assert np.mean(ones) == 1.0
         assert samples.x.min() >= 0 and samples.x.max() < 2 * np.pi
 

@@ -126,6 +126,14 @@ class TestValidate:
         issues = validate(make_config("minimality", T=1e200))
         assert issues == [{"level": "warning", "message": "RT^2 = inf > pi^2: minimality hypothesis violated"}]
 
+    def test_action_with_one_step_rejected(self, capsys):
+        # its bias fit reruns at M // 2 = 0 steps, which must not fall back to M
+        message = "action needs M >= 2: its bias fit reruns the drift at M // 2 steps"
+        assert validate(make_config("action", M=1)) == [{"level": "error", "message": message}]
+        assert validate(make_config("action", M=2)) == []
+        assert main(["action", "--N", "20", "--M", "1", "--out", os.devnull]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
     def test_negative_thread_count_rejected(self, capsys):
         issues = validate(make_config("simulate", threads=-3))
         assert issues == [{"level": "error", "message": "threads must be non-negative (0 leaves the thread count alone)"}]

@@ -1,9 +1,11 @@
 """Ensemble simulation: statistics, reproducibility, densities, persistence."""
 
+import ast
 import json
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -25,12 +27,16 @@ from nsvlab.sde import (
     load_ensemble,
     measure_density,
     path_rng,
+    running_integral,
     save_ensemble,
     simulate_ito,
     simulate_stratonovich_basis,
+    time_weights,
 )
 
 from helpers import constant_field, cos_x1_scalar, grad_sin_x1
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nsvlab"
 
 NU, T = 0.1, 1.0
 
@@ -269,6 +275,71 @@ class TestMeasureDensity:
         dens = measure_density(ens, [zero] * ens.dW.shape[2], div_drift)
         moved = np.max(np.abs(dens - 1.0), axis=1) > 0.01
         assert np.mean(moved) >= 0.9
+
+    def test_matches_per_grid_time_loop_bitwise(self):
+        basis = SpectralBasis(beta=3.0, K=2, nu=NU)
+        grad = grad_sin_x1()
+        drift = steady_flow(grad, T, 2, NU, require_divergence_free=False)
+        ens = simulate_stratonovich_basis(
+            SdeParams(nu=NU, T=T, drift_source=drift), basis, N=60, M=40, seed=6
+        )
+        # the frame's own divergences, as the CLI passes them, with one
+        # nonzero channel so the Brownian integrals move
+        frame = [basis.basis_field(k, kind) * np.sqrt(2.0) for kind in ("cos", "sin") for k in basis.kvecs]
+        noise_divs = [f.divergence_field().evaluate_at for f in frame]
+        noise_divs[1] = cos_x1_scalar().evaluate_at
+        drift_div = grad.divergence_field().evaluate_at
+        N, Mp1, _ = ens.unwrapped.shape
+        want = np.zeros((N, Mp1))
+        for div, increment in [*zip(noise_divs, np.moveaxis(ens.dW, 2, 0)), (drift_div, ens.dt)]:
+            vals = np.stack([div(ens.unwrapped[:, j]) for j in range(Mp1)], axis=1)
+            mid = 0.5 * (vals[:, :-1] + vals[:, 1:])
+            want[:, 1:] += np.cumsum(mid * increment, axis=1)
+        want = np.exp(-want)
+        got = measure_density(ens, noise_divs, drift_div)
+        np.testing.assert_array_equal(got, want)
+        assert np.max(np.abs(got - 1.0)) > 0.01
+
+
+class TestTimeQuadrature:
+    """sde owns the one time rule: trapezoid weights and running integrals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        dx=st.floats(1e-4, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weights_match_numpy_trapezoid(self, n, dx, seed):
+        y = np.random.default_rng(seed).uniform(-5.0, 5.0, (3, n))
+        got = y @ time_weights(n, dx)
+        want = np.trapezoid(y, dx=dx, axis=-1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * n * dx * np.max(np.abs(y)))
+        if n == 1:
+            assert np.all(got == 0.0)
+
+    def test_running_integral_with_increments_is_the_midpoint_cumsum(self):
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal((7, 31))
+        dW = rng.standard_normal((7, 30, 3)) * 0.1
+        for i in range(3):
+            got = running_integral(y, dW[:, :, i])
+            want = np.cumsum(0.5 * (y[:, :-1] + y[:, 1:]) * dW[:, :, i], axis=1)
+            assert np.all(got[:, 0] == 0.0)
+            np.testing.assert_array_equal(got[:, 1:], want)
+
+    def test_package_calls_no_numpy_trapezoid(self):
+        """Every per-path time integral goes through time_weights or
+        running_integral, so the rule is decided in one place."""
+        rules = ("trapezoid", "trapz")
+        hits = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (isinstance(node, ast.Attribute) and node.attr in rules) or (
+                    isinstance(node, ast.alias) and node.name in rules
+                ):
+                    hits.append(f"{path.name}:{node.lineno}")
+        assert hits == []
 
 
 class TestDriftOrthogonality:

@@ -162,8 +162,8 @@ def old_flow_points(w, tau, points, n_steps):
 
 
 def old_fd(ens, pair, nu, eps_list=(0.1, 0.05, 0.025), fd_h=1e-3, n_flow_steps=4):
-    """first_variation_fd as it was before it took a list of pairs: the
-    stencil built and the field evaluated on it afresh for every +-eps."""
+    """The reference first variation: the stencil built and the field
+    evaluated on it afresh for every +-eps."""
 
     def perturbed(eps):
         N, Mp1, dim = ens.unwrapped.shape
@@ -191,9 +191,9 @@ def old_fd(ens, pair, nu, eps_list=(0.1, 0.05, 0.025), fd_h=1e-3, n_flow_steps=4
 
 
 class TestFdBank:
-    """first_variation_fd on a list of pairs builds the stencil once and, per
-    shear field, w on it once; every estimate keeps the bits of the old
-    per-pair loop."""
+    """first_variation_fd builds the stencil once per call and, for a shear
+    field, w on it once; every pair's estimate keeps the bits of the
+    reference that rebuilds both for each +-eps."""
 
     @pytest.fixture(scope="class")
     def small_tg(self, tg_flow):
@@ -205,25 +205,24 @@ class TestFdBank:
         assert all(pair.w.is_shear() for pair in bank)
 
     def test_default_bank_matches_per_pair_loop_bitwise(self, small_tg, bank):
-        got = first_variation_fd(small_tg, bank, NU)
-        assert got == [old_fd(small_tg, pair, NU) for pair in bank]
-        assert [first_variation_fd(small_tg, pair, NU) for pair in bank] == got
+        for pair in bank:
+            assert first_variation_fd(small_tg, pair, NU) == old_fd(small_tg, pair, NU), pair.name
 
     def test_non_shear_bank_matches_per_pair_loop_bitwise(self, tg_flow, bank):
         params = SdeParams(nu=NU, T=T, drift_source=tg_flow, orientation=FORWARD)
         ens = simulate_ito(params, N=40, M=20, seed=22)
         w = random_divergence_free(2, 5)
         assert not w.is_shear() and w._compiled()[0].shape[0] > 1
-        pairs = [TestPair(f"rnd{i}", w, p.alpha, p.dalpha, T) for i, p in enumerate(bank[:2])]
-        got = first_variation_fd(ens, pairs, NU)
-        assert got == [old_fd(ens, p, NU) for p in pairs]
+        for i, p in enumerate(bank[:2]):
+            pair = TestPair(f"rnd{i}", w, p.alpha, p.dalpha, T)
+            assert first_variation_fd(ens, pair, NU) == old_fd(ens, pair, NU), pair.name
 
     @pytest.mark.parametrize("shear", [True, False])
     def test_non_finite_horizon_raises(self, small_tg, bank, shear):
         w = bank[0].w if shear else random_divergence_free(2, 5)
         blowup = TestPair("inf", w, lambda t: np.where((t > 0) & (t < T), np.inf, 0.0), bank[0].dalpha, T)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-            first_variation_fd(small_tg, [bank[1], blowup], NU)
+            first_variation_fd(small_tg, blowup, NU)
 
 
 class TestFirstVariation:
