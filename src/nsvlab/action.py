@@ -28,7 +28,7 @@ import numpy as np
 from .estimates import EstimateWithError
 from .fields import FourierVectorField, SpectralBasis, deformation_laplacian, stack_active_modes
 from .flows import TimeDependentVelocity
-from .sde import PathEnsemble, running_integral, time_weights
+from .sde import TIME_BLOCK, PathEnsemble, running_integral, time_weights
 
 
 @dataclass
@@ -90,17 +90,16 @@ def occupation_measure(ens: PathEnsemble, thin: int = 1) -> OccupationSet:
         raise ValueError("stride must be at least 1")
     idx = np.arange(0, ens.n_steps + 1, thin)
     times = ens.times[idx]
-    x = ens.wrapped[:, idx].reshape(-1, ens.dim)
+    x = ens.wrapped_at(idx).reshape(-1, ens.dim)
     v = ens.drift[:, idx].reshape(-1, ens.dim)
     t = np.tile(times, ens.n_paths)
     return OccupationSet(t, x, v, ens.n_paths, idx.size)
 
 
 def _speed_squared(drift: np.ndarray) -> np.ndarray:
-    """|drift|^2 per path and grid time of (N, M+1, dim) drifts.
+    """|drift|^2 per path and grid time of (N, times, dim) drifts.
 
-    einsum forms it without a drift**2 temporary: callers pass freshly built
-    drifts that stay alive for the whole call.
+    einsum forms it without a drift**2 temporary.
     """
     return np.einsum("nja,nja->nj", drift, drift)
 
@@ -120,9 +119,23 @@ def action_prefixes(ens: PathEnsemble, step_indices) -> list[EstimateWithError]:
 
     Shares one ensemble across nested horizons, which is what makes the
     pinned-bridge divergence increments comparable at small variance.
+
+    |drift|^2 is folded through running_integral over blocks of TIME_BLOCK
+    steps up to the largest index asked for, each block started from the
+    last column of the one before, and only the requested columns are kept:
+    bitwise the columns of 0.5 * running_integral(|drift|^2, dt) over the
+    whole ensemble, without forming it.
     """
-    cum = 0.5 * running_integral(_speed_squared(ens.drift), ens.dt)
-    return [EstimateWithError.from_samples(cum[:, int(j)]) for j in step_indices]
+    steps = [range(ens.n_steps + 1)[int(j)] for j in step_indices]
+    last = max(steps, default=0)
+    kept = {}
+    cum = None
+    for j0 in range(0, max(last, 1), TIME_BLOCK):
+        j1 = min(j0 + TIME_BLOCK, last)  # columns j0..j1, the last shared with the next block
+        start = None if cum is None else cum[:, -1]
+        cum = running_integral(_speed_squared(ens.drift[:, j0 : j1 + 1]), ens.dt, start)
+        kept.update((j, 0.5 * cum[:, j - j0]) for j in steps if j0 <= j <= j1)
+    return [EstimateWithError.from_samples(kept[j]) for j in steps]
 
 
 def group_by_identity(objects: list) -> list[tuple[object, list[int]]]:

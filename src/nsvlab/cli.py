@@ -87,7 +87,7 @@ OUTPUT_ENV_VAR = "NSVLAB_OUT"
 # per path and grid time: the slope of peak RSS between N = 2000 and N = 8000
 # at its config's M, rounded up (Linux x86-64, Python 3.11, numpy 2.4).  The
 # stored arrays alone take 48 bytes; the rest is the estimators' temporaries.
-PEAK_BYTES_PER_STEP = {"simulate": 64, "action": 81, "criticality": 106, "minimality": 134}
+PEAK_BYTES_PER_STEP = {"simulate": 55, "action": 81, "criticality": 106, "minimality": 134}
 STORED_ENSEMBLE = tuple(PEAK_BYTES_PER_STEP)
 
 # experiments whose statistics are taken over N paths: a standard error or a
@@ -432,9 +432,9 @@ def run_simulate(config: ExperimentConfig, report: Report, outdir: str):
     ks_cap = ks_critical_value(config.N, 0.05 / (2 * len(fracs)))
     worst = 0.0
     for frac in fracs:
-        j = round(frac * ens.n_steps)
+        x = ens.wrapped_at(round(frac * ens.n_steps))
         for d in range(2):
-            worst = max(worst, ks_uniform_statistic(ens.wrapped[:, j, d]))
+            worst = max(worst, ks_uniform_statistic(x[:, d]))
     report.add_value("ks_worst", worst)
     report.add_verdict("uniform_marginals", worst <= ks_cap)
     if config.save_paths:

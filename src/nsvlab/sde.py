@@ -9,8 +9,14 @@ action and residual estimators downstream are pure folds over stored data.
 
 _draw_noise makes every random draw and _march is the one record-then-step
 loop, which builds every PathEnsemble; each engine only supplies its drift
-and step.  save_ensemble writes an ensemble as an .npz of its three arrays
-and a JSON sidecar of its scalars.
+and its step, which takes the step's increments as one contiguous (N,
+channels) row.  The march runs over blocks of time_block(M+1) grid times:
+per block it copies the increments time-major, records positions and drifts
+into time-major buffers, and writes each buffer into the path-major arrays
+in one transposed assignment, so no step reads or writes a column strided
+by M+1.  Every value is computed as a plain per-step loop would compute it,
+so no stored number depends on the block size.  save_ensemble writes an
+ensemble as an .npz of its three arrays and a JSON sidecar of its scalars.
 
 The time quadrature on the uniform grid lives here too, and every per-path
 time integral in the package goes through it: time_weights for a whole
@@ -40,6 +46,18 @@ KINDS = ("ito", "stratonovich_basis", "bridge")
 
 FORWARD = "forward"
 REVERSED = "reversed"
+
+# grid times per block of the per-step loops over an ensemble (_march here,
+# action_prefixes and variation._pressure_along); no value depends on it
+TIME_BLOCK = 64
+
+
+def time_block(n_times: int) -> int:
+    """Grid times per block of a per-step loop that copies its blocks
+    time-major: TIME_BLOCK, but at most an eighth of the n_times grid times
+    (and at least one), so the copies stay a small share of the stored
+    ensemble however short the grid is."""
+    return max(1, min(TIME_BLOCK, n_times // 8))
 
 
 def path_rng(seed: int, path_index: int) -> Generator:
@@ -80,10 +98,11 @@ class SdeParams:
 class PathEnsemble:
     """N discrete-time semimartingale paths with recorded drifts and noise.
 
-    unwrapped carries the lifted R^d positions; wrapped (mod 2pi) is derived
-    on demand so the two can never disagree.  drift[n, j] is the exact drift
-    vector inserted at grid time t_j; dW[n, j] are the Brownian increments
-    used for the step t_j -> t_{j+1} (variance dt per channel).
+    unwrapped carries the lifted R^d positions; wrapped_at derives their
+    mod-2pi values on demand, at the grid times asked for, so the two can
+    never disagree.  drift[n, j] is the exact drift vector inserted at grid
+    time t_j; dW[n, j] are the Brownian increments used for the step
+    t_j -> t_{j+1} (variance dt per channel).
     """
 
     kind: str
@@ -111,9 +130,10 @@ class PathEnsemble:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
 
-    @property
-    def wrapped(self) -> np.ndarray:
-        return np.mod(self.unwrapped, TWO_PI)
+    def wrapped_at(self, j) -> np.ndarray:
+        """Positions at grid index j (an int, index array or slice) wrapped
+        to [0, 2pi); only the indexed columns are wrapped."""
+        return np.mod(self.unwrapped[:, j], TWO_PI)
 
     def step_index(self, t: float) -> int:
         """Index of grid time t; off-grid times (by more than 1e-9 steps) are rejected."""
@@ -138,7 +158,8 @@ def _draw_noise(seed: int, N: int, M: int, channels: int, dt: float, initial_law
         rng = path_rng(seed, n)
         if uniform:
             starts[n] = rng.uniform(0.0, TWO_PI, dim)
-        dW[n] = rng.standard_normal((M, channels)) * root
+        rng.standard_normal(out=dW[n])
+        dW[n] *= root
     return starts, dW
 
 
@@ -147,19 +168,39 @@ def _march(
 ) -> PathEnsemble:
     """The record of one engine run: from the starts, store pos and
     drift_at(t_j, pos) at each grid time t_j, then advance by
-    step(j, pos, drift) while j < M, with M the steps that dW holds."""
+    step(j, pos, drift, dw) while j < M, with M the steps that dW holds and
+    dw the (N, channels) increments of step j.
+
+    The grid times go in blocks of time_block(M + 1).  A block's increments
+    are copied time-major once, so each dw is a contiguous row, and its
+    positions and drifts are recorded into time-major (block, N, dim)
+    buffers that go into unwrapped and drift in one transposed assignment.
+    The steps are the same calls on the same values as a per-step loop, so
+    no stored value, and no step a non-finite state is reported at, depends
+    on the block size.
+    """
     N, dim = starts.shape
     M = dW.shape[1]
     unwrapped = np.empty((N, M + 1, dim))
     drift = np.empty((N, M + 1, dim))
+    block = time_block(M + 1)
+    pos_rows = np.empty((block, N, dim))
+    drift_rows = np.empty((block, N, dim))
+    dw_rows = np.empty((block, N, dW.shape[2]))
     pos = starts
-    for j in range(M + 1):
-        unwrapped[:, j] = pos
-        drift[:, j] = drift_at(j * dt, pos)
-        if j < M:
-            pos = step(j, pos, drift[:, j])
-            if not np.all(np.isfinite(pos)):
-                raise FloatingPointError(f"non-finite state at step {j + 1}")
+    for j0 in range(0, M + 1, block):
+        j1 = min(j0 + block, M + 1)
+        steps = dW[:, j0:j1]  # steps j0 .. min(j1, M) - 1
+        dw_rows[: steps.shape[1]] = steps.transpose(1, 0, 2)
+        for b, j in enumerate(range(j0, j1)):
+            pos_rows[b] = pos
+            drift_rows[b] = drift_at(j * dt, pos)
+            if j < M:
+                pos = step(j, pos, drift_rows[b], dw_rows[b])
+                if not np.isfinite(pos).all():
+                    raise FloatingPointError(f"non-finite state at step {j + 1}")
+        unwrapped[:, j0:j1] = pos_rows[: j1 - j0].transpose(1, 0, 2)
+        drift[:, j0:j1] = drift_rows[: j1 - j0].transpose(1, 0, 2)
     return PathEnsemble(kind, nu, dt, seed, unwrapped, drift, dW, meta)
 
 
@@ -175,7 +216,7 @@ def simulate_ito(params: SdeParams, N: int, M: int, seed: int = 42) -> PathEnsem
         return 0.0 if src is None else sign * src.velocity_at(params.drift_time(t), x)
 
     meta = {"orientation": params.orientation, "T": params.T}
-    return _march("ito", params.nu, seed, meta, starts, dW, dt, drift_at, lambda j, x, d: x + d * dt + sig * dW[:, j])
+    return _march("ito", params.nu, seed, meta, starts, dW, dt, drift_at, lambda j, x, d, dw: x + d * dt + sig * dw)
 
 
 def simulate_stratonovich_basis(
@@ -200,8 +241,8 @@ def simulate_stratonovich_basis(
     def transport(t: float, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x) if src is None else src.velocity_at(t, x)
 
-    def heun(j: int, pos: np.ndarray, uj: np.ndarray) -> np.ndarray:
-        dwc, dws = dW[:, j, :m], dW[:, j, m:]
+    def heun(j: int, pos: np.ndarray, uj: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        dwc, dws = dw[:, :m], dw[:, m:]
         disp0 = sqrt2 * basis.noise_displacement(pos, dwc, dws)
         pred = pos + disp0 + uj * dt
         disp1 = sqrt2 * basis.noise_displacement(pred, dwc, dws)
@@ -224,7 +265,7 @@ def brownian_bridge(
     meta = {"x": x, "y": y, "cutoff": cutoff, "T": T}
     return _march(
         "bridge", None, seed, meta, starts, dW, dt,
-        lambda t, g: -(g - y) / (1.0 - t), lambda j, g, d: g + d * dt + dW[:, j],
+        lambda t, g: -(g - y) / (1.0 - t), lambda j, g, d, dw: g + d * dt + dw,
     )
 
 
@@ -241,12 +282,30 @@ def time_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
-def running_integral(y: np.ndarray, increments) -> np.ndarray:
+def running_integral(y: np.ndarray, increments, start=None) -> np.ndarray:
     """Running trapezoid integral along axis 1 of y, zero at the first grid
     time.  increments is the step dt, or per-step (N, M) increments such as
-    Brownian ones, which make it a Stratonovich (midpoint) sum."""
-    out = np.zeros_like(y)
-    np.cumsum(0.5 * (y[:, :-1] + y[:, 1:]) * increments, axis=1, out=out[:, 1:])
+    Brownian ones, which make it a Stratonovich (midpoint) sum.
+
+    start, an (N,) vector, is the integral's value at the first column, and
+    the sum is folded on from it.  The cumulative sum is one left fold, so a
+    block of columns started from the previous block's last column (the
+    blocks sharing that column) gives bitwise the columns of one call over
+    them all.  The per-step terms are formed in place in the result, with no
+    temporaries.
+    """
+    out = np.empty_like(y)
+    steps = out[:, 1:]
+    np.add(y[:, :-1], y[:, 1:], out=steps)
+    steps *= 0.5
+    steps *= increments
+    if start is None:
+        out[:, 0] = 0.0
+        # folded from the first step, not from 0 + it, so a -0.0 keeps its sign
+        np.cumsum(steps, axis=1, out=steps)
+    else:
+        out[:, 0] = start
+        np.cumsum(out, axis=1, out=out)
     return out
 
 

@@ -20,7 +20,7 @@ from .action import TestPair, action_per_path, group_by_identity
 from .estimates import EstimateWithError
 from .fields import FourierVectorField, TWO_PI
 from .flows import TimeDependentVelocity
-from .sde import PathEnsemble, REVERSED, running_integral, time_weights
+from .sde import PathEnsemble, REVERSED, running_integral, time_block, time_weights
 
 # the first variation's finite differences: the central-difference step of
 # its spatial derivatives, its epsilon levels (each half the last), the
@@ -252,7 +252,10 @@ def pinned_family(base: PathEnsemble, count: int, seed: int = 0) -> list[tuple[s
 def _pressure_along(ens: PathEnsemble, members: list, u: TimeDependentVelocity) -> np.ndarray:
     """Time-reversed pressure q(T - t_j, x_j) summed by trapezoid along the paths of
     ens (row 0) and of each member (row i), all in one pressure_at call per t_j
-    whose values are folded into the sums as the time loop goes."""
+    whose values are folded into the sums as the time loop goes.  The positions
+    and each beta are read through contiguous time-major copies of
+    time_block(M+1) grid times at a time, so no step reads a column strided
+    by M+1."""
     N, Mp1, dim = ens.unwrapped.shape
     # the members sharing one beta array get their stacked points from one
     # broadcast per grid time
@@ -263,12 +266,16 @@ def _pressure_along(ens: PathEnsemble, members: list, u: TimeDependentVelocity) 
     weights = time_weights(Mp1, ens.dt)
     sums = np.zeros((1 + len(members), N))
     pts = np.empty((1 + len(members), N, dim))
-    for j in range(Mp1):
-        x = ens.unwrapped[:, j]
-        pts[0] = x
-        for beta, rows, directions in groups:
-            pts[rows] = x + beta[:, j, None] * directions
-        sums += weights[j] * u.pressure_at(ens.times[-1] - ens.times[j], pts.reshape(-1, dim)).reshape(-1, N)
+    block = time_block(Mp1)
+    for j0 in range(0, Mp1, block):
+        x_rows = np.ascontiguousarray(ens.unwrapped[:, j0 : j0 + block].transpose(1, 0, 2))
+        beta_rows = [np.ascontiguousarray(beta[:, j0 : j0 + block].T) for beta, _, _ in groups]
+        for b, x in enumerate(x_rows):
+            j = j0 + b
+            pts[0] = x
+            for (_, rows, directions), beta in zip(groups, beta_rows):
+                pts[rows] = x + beta[b, :, None] * directions
+            sums += weights[j] * u.pressure_at(ens.times[-1] - ens.times[j], pts.reshape(-1, dim)).reshape(-1, N)
     return sums
 
 

@@ -1,10 +1,13 @@
 """Kinetic action, occupation samples, and the two residual routes."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from nsvlab.action import (
     TestPair,
+    _speed_squared,
     _weak_terms,
     action,
     action_prefixes,
@@ -21,6 +24,9 @@ from nsvlab.flows import steady_flow, taylor_green
 from nsvlab.sde import FORWARD, SdeParams, brownian_bridge, simulate_ito
 
 NU, T = 0.1, 1.0
+
+# the package namespace binds the name action to the function
+action_module = importlib.import_module("nsvlab.action")
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +91,27 @@ class TestAction:
         steps = [50, 400]
         want = [EstimateWithError.from_samples(cum[:, j]) for j in steps]
         assert action_prefixes(tg_forward, steps) == want
+
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("which", ["bridge", "taylor-green"])
+    def test_prefixes_match_one_running_integral_bitwise(self, monkeypatch, tg_forward, block, which):
+        """The time-blocked fold keeps exactly the columns of one running
+        integral over the whole ensemble, for indices at and around a block
+        edge, the ends, and unsorted and repeated requests."""
+        monkeypatch.setattr(action_module, "TIME_BLOCK", block)
+        ens = tg_forward if which == "taylor-green" else brownian_bridge(0.0, 0.0, N=300, M=2040, cutoff=2.0**-8, seed=12)
+        M, B = ens.n_steps, block
+        cum = 0.5 * running_integral(_speed_squared(ens.drift), ens.dt)
+        for steps in ([0, 1, B - 1, B, B + 1, M], [M, B + 1, 0, B, B, 1, M - 1], [B], [0]):
+            want = [EstimateWithError.from_samples(cum[:, j]) for j in steps]
+            got = action_prefixes(ens, steps)
+            assert [(e.value.hex(), e.std_error.hex(), e.n) for e in got] == [
+                (e.value.hex(), e.std_error.hex(), e.n) for e in want
+            ]
+
+    def test_prefix_index_past_the_horizon_rejected(self, tg_forward):
+        with pytest.raises(IndexError):
+            action_prefixes(tg_forward, [tg_forward.n_steps + 1])
 
     def test_bridge_increments_near_half_log_two(self):
         M = 2**11 - 2**3  # dyadic grid holding the 2^-3..2^-5 cutoffs

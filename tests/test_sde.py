@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsvlab import sde
 from nsvlab.estimates import EstimateWithError, ks_critical_value, ks_uniform_statistic
 from nsvlab.fields import FourierScalarField, SpectralBasis
 from nsvlab.flows import steady_flow, taylor_green
@@ -76,7 +77,7 @@ class TestItoEngine:
         for frac in (0.25, 0.5, 1.0):
             j = tg_reversed.step_index(frac * T)
             for d in range(2):
-                assert ks_uniform_statistic(tg_reversed.wrapped[:, j, d]) <= cap
+                assert ks_uniform_statistic(tg_reversed.wrapped_at(j)[:, d]) <= cap
 
     def test_recorded_drift_is_inserted_drift(self, tg_reversed):
         tg = taylor_green(NU, T, 400)
@@ -85,9 +86,12 @@ class TestItoEngine:
         np.testing.assert_array_equal(tg_reversed.drift[:, j], want)
 
     def test_wrapped_is_unwrapped_mod_2pi(self, tg_reversed):
-        w = tg_reversed.wrapped
+        w = tg_reversed.wrapped_at(slice(None))
         assert np.all((w >= 0) & (w < 2 * np.pi))
         np.testing.assert_array_equal(w, np.mod(tg_reversed.unwrapped, 2 * np.pi))
+        idx = np.array([7, 0, 400, 7])
+        assert tg_reversed.wrapped_at(idx).tobytes() == w[:, idx].tobytes()
+        assert tg_reversed.wrapped_at(120).tobytes() == w[:, 120].tobytes()
 
     def test_increment_variance_sanity(self, heat_ensemble):
         dW = heat_ensemble.dW
@@ -148,6 +152,65 @@ class TestReproducibility:
             x = ens.unwrapped[:, j]
             want = np.zeros_like(x) if tg is None else params.drift_sign() * tg.velocity_at(params.drift_time(j * ens.dt), x)
             assert want.tobytes() == ens.drift[:, j].tobytes()
+
+
+def _blocked_engine_runs(M):
+    """One run of each engine at M steps, as a callable of no arguments, with
+    a drift in every engine that has one."""
+    tg = taylor_green(NU, T, M)
+    basis = SpectralBasis(beta=3.0, K=2, nu=NU)
+    return {
+        "ito": lambda: simulate_ito(SdeParams(nu=NU, T=T, drift_source=tg, orientation=REVERSED), N=30, M=M, seed=3),
+        "stratonovich_basis": lambda: simulate_stratonovich_basis(
+            SdeParams(nu=NU, T=T, drift_source=tg), basis, N=30, M=M, seed=3
+        ),
+        "bridge": lambda: brownian_bridge(0.2, -0.3, N=30, M=M, cutoff=0.25, seed=3),
+    }
+
+
+class _BlowUp:
+    """A drift source that is zero before grid index `at` and infinite from
+    it on, so the state first fails to be finite at step at + 1."""
+
+    def __init__(self, at: int, dt: float):
+        self.T, self.at, self.dt = T, at, dt
+
+    def velocity_at(self, t, x):
+        return np.full_like(x, np.inf) if t >= (self.at - 0.5) * self.dt else np.zeros_like(x)
+
+
+class TestTimeBlocks:
+    """_march runs over blocks of time_block(M + 1) grid times; no stored bit
+    and no reported step depends on the block size."""
+
+    def test_block_is_at_most_an_eighth_of_the_grid(self):
+        assert [sde.time_block(n) for n in (1, 15, 16, 61, 513, 8161)] == [1, 1, 2, 7, 64, 64]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    # 61 grid times are a multiple of no block, 63 of 7, and 641 leave a last
+    # block of one grid time at 64; M + 5 makes one block of the whole grid
+    @pytest.mark.parametrize("M", [60, 62, 640])
+    def test_block_size_changes_no_bit(self, monkeypatch, kind, M):
+        run = _blocked_engine_runs(M)[kind]
+        monkeypatch.setattr(sde, "time_block", lambda n: 1)
+        want = run()
+        for block in (7, 64, M + 5):
+            monkeypatch.setattr(sde, "time_block", lambda n: block)
+            got = run()
+            assert got.kind == kind
+            for name in ("unwrapped", "drift", "dW"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, block)
+
+    @pytest.mark.parametrize("block", [8, 64])
+    @pytest.mark.parametrize("where", ["B-1", "B", "B+1", "mid"])
+    def test_nonfinite_state_named_at_its_step(self, monkeypatch, block, where):
+        monkeypatch.setattr(sde, "TIME_BLOCK", block)
+        M = 24 * block
+        assert sde.time_block(M + 1) == block
+        bad = {"B-1": block - 1, "B": block, "B+1": block + 1, "mid": block + block // 2}[where]
+        params = SdeParams(nu=NU, T=T, drift_source=_BlowUp(bad - 1, T / M))
+        with pytest.raises(FloatingPointError, match=rf"non-finite state at step {bad}$"):
+            simulate_ito(params, N=4, M=M, seed=0)
 
 
 class TestStratonovichEngine:
@@ -327,6 +390,22 @@ class TestTimeQuadrature:
             want = np.cumsum(0.5 * (y[:, :-1] + y[:, 1:]) * dW[:, :, i], axis=1)
             assert np.all(got[:, 0] == 0.0)
             np.testing.assert_array_equal(got[:, 1:], want)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 30])
+    def test_running_integral_folds_on_from_a_start_bitwise(self, block):
+        """Blocks of columns, each started from the last column of the one
+        before and sharing it, give the columns of one call bitwise."""
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((6, 31))
+        dW = rng.standard_normal((6, 30)) * 0.1
+        for increments in (0.03, dW):
+            want = running_integral(y, increments)
+            got = [want[:, :1]]
+            for j0 in range(0, 30, block):
+                j1 = min(j0 + block, 30)
+                inc = increments if np.isscalar(increments) else increments[:, j0:j1]
+                got.append(running_integral(y[:, j0 : j1 + 1], inc, got[-1][:, -1])[:, 1:])
+            assert np.concatenate(got, axis=1).tobytes() == want.tobytes()
 
     def test_package_calls_no_numpy_trapezoid(self):
         """Every per-path time integral goes through time_weights or

@@ -88,7 +88,7 @@ class TestPerturbationFlows:
 
     def test_pushforward_keeps_uniform_marginals(self, ens_reversed, bank):
         j = ens_reversed.step_index(0.5 * T)
-        pos = ens_reversed.wrapped[:, j]
+        pos = ens_reversed.wrapped_at(j)
         pushed = np.mod(flow_psi(bank[2], 0.35, 0.5 * T, pos), 2 * np.pi)
         cap = ks_critical_value(pos.shape[0], significance=1e-3)
         for d in range(2):
