@@ -59,7 +59,6 @@ from .variation import (
     PinnedPerturbation,
     first_variation_fd,
     flow_points,
-    flow_psi,
     mean_acceleration_check,
     minimality_check,
     pinned_family,

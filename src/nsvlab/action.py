@@ -28,7 +28,7 @@ import numpy as np
 from .estimates import EstimateWithError
 from .fields import FourierVectorField, SpectralBasis, deformation_laplacian, stack_active_modes
 from .flows import TimeDependentVelocity
-from .sde import TIME_BLOCK, PathEnsemble, running_integral, time_weights
+from .sde import PathEnsemble, running_integral, time_block, time_weights
 
 
 @dataclass
@@ -120,18 +120,19 @@ def action_prefixes(ens: PathEnsemble, step_indices) -> list[EstimateWithError]:
     Shares one ensemble across nested horizons, which is what makes the
     pinned-bridge divergence increments comparable at small variance.
 
-    |drift|^2 is folded through running_integral over blocks of TIME_BLOCK
-    steps up to the largest index asked for, each block started from the
-    last column of the one before, and only the requested columns are kept:
-    bitwise the columns of 0.5 * running_integral(|drift|^2, dt) over the
-    whole ensemble, without forming it.
+    |drift|^2 is folded through running_integral up to the largest index
+    asked for, last, over blocks of time_block(last + 1) steps, each block
+    started from the last column of the one before, and only the requested
+    columns are kept: bitwise the columns of 0.5 * running_integral(|drift|^2,
+    dt) over the whole ensemble, without forming it.
     """
     steps = [range(ens.n_steps + 1)[int(j)] for j in step_indices]
     last = max(steps, default=0)
     kept = {}
     cum = None
-    for j0 in range(0, max(last, 1), TIME_BLOCK):
-        j1 = min(j0 + TIME_BLOCK, last)  # columns j0..j1, the last shared with the next block
+    block = time_block(last + 1)
+    for j0 in range(0, max(last, 1), block):
+        j1 = min(j0 + block, last)  # columns j0..j1, the last shared with the next block
         start = None if cum is None else cum[:, -1]
         cum = running_integral(_speed_squared(ens.drift[:, j0 : j1 + 1]), ens.dt, start)
         kept.update((j, 0.5 * cum[:, j - j0]) for j in steps if j0 <= j <= j1)

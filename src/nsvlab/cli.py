@@ -1,14 +1,15 @@
 """Config-driven command line front end.
 
-    nsvlab <experiment> [--config file.json] [--seed N] [--threads N]
-           [--save-paths] [--out DIR] [--nu X --T X --N X --M X --K X
-            --beta X --drift SPEC]
+    nsvlab <experiment> [--config file.json] [--<field> VALUE | --<switch>]...
 
-Experiments: fields-check, ns-solve, simulate, action, criticality,
-minimality, bridge, measure-preservation.  Flag overrides win over the
-config file.  Each run writes report.json, flat CSV tables, and gnuplot-ready
-two-column data files under the output directory; exit status is 0 when all
-verdicts pass, 2 when a verdict fails, 1 on usage or runtime errors.
+Each fact has one record.  The experiments are the keys of RUNNERS.  Every
+ExperimentConfig field but experiment is a flag of its name (output_dir is
+--out, and a bool field is a switch), and every field but RUN_CONTROL heads
+report.json, in the config's order.  Flag overrides win over the config file.
+Each run writes report.json, CSV tables under tables/ (estimates.csv and
+verdicts.csv formed from the report's records), and gnuplot-ready two-column
+data files under the output directory; exit status is 0 when all verdicts
+pass, 2 when a verdict fails, 1 on usage or runtime errors.
 """
 
 from __future__ import annotations
@@ -70,17 +71,6 @@ from .sde import (
     simulate_stratonovich_basis,
 )
 
-EXPERIMENTS = (
-    "fields-check",
-    "ns-solve",
-    "simulate",
-    "action",
-    "criticality",
-    "minimality",
-    "bridge",
-    "measure-preservation",
-)
-
 OUTPUT_ENV_VAR = "NSVLAB_OUT"
 
 # experiments that store an (N, M+1) ensemble, and the peak memory each takes
@@ -97,19 +87,22 @@ READS_N = STORED_ENSEMBLE + ("bridge", "measure-preservation")
 
 @dataclasses.dataclass
 class ExperimentConfig:
+    """One run's settings.  Each field but experiment is a command line flag,
+    and each but RUN_CONTROL's a key of report.json's header, in this order."""
+
     experiment: str
+    seed: int = 42
     nu: float = 0.1
     T: float = 1.0
     N: int = 20000
     M: int = 1000
     K: int = 8
     beta: float = 3.0
-    seed: int = 42
     drift: str = "taylor-green"
+    negative_control: bool = False
     output_dir: str = ""
     threads: int = 0
     save_paths: bool = False
-    negative_control: bool = False
 
     def resolved_output_dir(self) -> str:
         if self.output_dir:
@@ -233,11 +226,7 @@ def parse_drift(spec: str) -> tuple[str, float | str | None]:
 
 def _corruption_field(K: int, amplitude: float) -> FourierVectorField:
     """Divergence-free non-solution bump along the (1,1) sine frame direction."""
-    coeffs = np.zeros((2 * K + 1, 2 * K + 1, 2), dtype=complex)
-    kperp = np.array([1.0, -1.0])
-    coeffs[K + 1, K + 1] = -0.5j * amplitude * kperp
-    coeffs[K - 1, K - 1] = +0.5j * amplitude * kperp
-    return FourierVectorField(K, coeffs)
+    return FourierVectorField.from_modes(K, {(1, 1): -0.5j * amplitude * np.array([1.0, -1.0])})
 
 
 def build_drift(config: ExperimentConfig) -> TimeDependentVelocity | None:
@@ -257,6 +246,9 @@ def build_drift(config: ExperimentConfig) -> TimeDependentVelocity | None:
 
 
 ESTIMATE_COLUMNS = ["value", "std_error", "n", "nu", "seed"]
+# the config fields that say where and how a run goes, not what it computes,
+# and so are left out of report.json
+RUN_CONTROL = ("output_dir", "threads", "save_paths")
 
 
 class Report:
@@ -265,44 +257,31 @@ class Report:
         self.estimates: list[dict] = []
         self.verdicts: list[dict] = []
         self.plot_data: dict[str, list] = {}
-        # the CSV files under tables/, by name: a header and rows of cells
-        self.tables: dict[str, tuple[list, list]] = {
-            "estimates": (["name", *ESTIMATE_COLUMNS], []),
-            "verdicts": (["name", "pass"], []),
-        }
+        # CSV files under tables/ besides the estimates and verdicts, by name:
+        # a header and rows of cells
+        self.tables: dict[str, tuple[list, list]] = {}
 
-    def estimate_row(self, name: str, est: EstimateWithError) -> list:
-        """A CSV row: name, then est's cells under ESTIMATE_COLUMNS."""
-        return [name, repr(est.value), repr(est.std_error), est.n, repr(self.config.nu), self.config.seed]
+    def estimate_row(self, name: str, value: float, se: float, n: int) -> list:
+        """A CSV row: name, then an estimate's cells under ESTIMATE_COLUMNS."""
+        return [name, repr(value), repr(se), n, repr(self.config.nu), self.config.seed]
 
     def add_estimate(self, name: str, est: EstimateWithError):
         self.estimates.append({"name": name, "value": est.value, "se": est.std_error, "n": est.n})
-        self.tables["estimates"][1].append(self.estimate_row(name, est))
 
     def add_value(self, name: str, value: float):
         self.add_estimate(name, EstimateWithError(float(value), 0.0, 1))
 
     def add_verdict(self, name: str, ok: bool):
-        ok = bool(ok)
-        self.verdicts.append({"name": name, "pass": ok})
-        self.tables["verdicts"][1].append([name, int(ok)])
+        self.verdicts.append({"name": name, "pass": bool(ok)})
 
     def all_pass(self) -> bool:
         return all(v["pass"] for v in self.verdicts)
 
     def to_dict(self) -> dict:
         c = self.config
+        header = {f.name: getattr(c, f.name) for f in dataclasses.fields(c) if f.name not in RUN_CONTROL}
         return {
-            "experiment": c.experiment,
-            "seed": c.seed,
-            "nu": c.nu,
-            "T": c.T,
-            "N": c.N,
-            "M": c.M,
-            "K": c.K,
-            "beta": c.beta,
-            "drift": c.drift,
-            "negative_control": c.negative_control,
+            **header,
             "estimates": self.estimates,
             "verdicts": self.verdicts,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -314,7 +293,11 @@ class Report:
             json.dump(self.to_dict(), fh, indent=1)
         tables = os.path.join(outdir, "tables")
         os.makedirs(tables, exist_ok=True)
-        for name, (header, rows) in self.tables.items():
+        records = {
+            "estimates": (["name", *ESTIMATE_COLUMNS], [self.estimate_row(**e) for e in self.estimates]),
+            "verdicts": (["name", "pass"], [[v["name"], int(v["pass"])] for v in self.verdicts]),
+        }
+        for name, (header, rows) in {**records, **self.tables}.items():
             with open(os.path.join(tables, f"{name}.csv"), "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(header)
@@ -495,7 +478,7 @@ def run_criticality(config: ExperimentConfig, report: Report, outdir: str):
     ]
     report.tables["residuals"] = (
         ["pair_name", *ESTIMATE_COLUMNS],
-        [report.estimate_row(pair.name, res) for pair, res in zip(bank, residuals)],
+        [report.estimate_row(pair.name, res.value, res.std_error, res.n) for pair, res in zip(bank, residuals)],
     )
 
 
@@ -570,7 +553,7 @@ def run_measure_preservation(config: ExperimentConfig, report: Report, outdir: s
     # exact at K <= 2, where every k.c_k is exactly zero
     report.add_verdict("density_one_for_solenoidal", dev == 0.0)
 
-    grad = _grad_sin_x1()
+    grad = FourierScalarField.from_modes(2, {(1, 0): -0.5j}).gradient_field()  # grad sin x1
     drift = steady_flow(grad, config.T, 2, config.nu, require_divergence_free=False)
     params2 = SdeParams(nu=config.nu, T=config.T, drift_source=drift)
     ens2 = simulate_stratonovich_basis(params2, basis, N=N, M=M, seed=(config.seed + 1) % 2**64)
@@ -579,7 +562,7 @@ def run_measure_preservation(config: ExperimentConfig, report: Report, outdir: s
     report.add_value("density_moved_fraction", frac)
     report.add_verdict("gradient_drift_moves_density", frac >= 0.9)
 
-    f_probe = _cos_x1()
+    f_probe = FourierScalarField.from_modes(2, {(1, 0): 0.5})  # cos x1
     ito_pos = _simulate_from_config(
         config, build_drift(config), FORWARD, N=min(config.N, 20000), M=min(config.M, 500)
     )
@@ -593,27 +576,13 @@ def run_measure_preservation(config: ExperimentConfig, report: Report, outdir: s
     neg_params = SdeParams(
         nu=neg_nu,
         T=config.T,
-        drift_source=steady_flow(_grad_sin_x1(), config.T, 2, neg_nu, require_divergence_free=False),
+        drift_source=steady_flow(grad, config.T, 2, neg_nu, require_divergence_free=False),
         initial_law=("fixed", (np.pi / 4.0, 0.0)),
     )
     neg_ens = simulate_ito(neg_params, N=min(config.N, 20000), M=min(config.M, 500), seed=config.seed)
     neg = drift_orthogonality(neg_ens, f_probe, t_mid)
     report.add_estimate("orthogonality_negative", neg)
     report.add_verdict("orthogonality_negative_detected", abs(neg.value) > 3 * neg.std_error)
-
-
-def _cos_x1(K: int = 2) -> FourierScalarField:
-    pc = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-    pc[K + 1, K] = 0.5
-    pc[K - 1, K] = 0.5
-    return FourierScalarField(K, pc)
-
-
-def _grad_sin_x1(K: int = 2) -> FourierVectorField:
-    pc = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-    pc[K + 1, K] = -0.5j
-    pc[K - 1, K] = +0.5j
-    return FourierScalarField(K, pc).gradient_field()
 
 
 RUNNERS = {
@@ -626,6 +595,7 @@ RUNNERS = {
     "bridge": run_bridge,
     "measure-preservation": run_measure_preservation,
 }
+EXPERIMENTS = tuple(RUNNERS)
 
 
 def run(config: ExperimentConfig) -> int:
@@ -654,22 +624,16 @@ def run(config: ExperimentConfig) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    """The command line; every dest but config names an ExperimentConfig field."""
+    """The command line: the experiment, --config, and one flag per other
+    ExperimentConfig field, named after it (output_dir is --out).  A bool
+    field is a switch; any other value is left a string for load_config to
+    coerce, so a bad one is one error line."""
     parser = argparse.ArgumentParser(prog="nsvlab", description=__doc__)
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--save-paths", action="store_true", default=None)
-    parser.add_argument("--out", dest="output_dir")
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--T", type=float)
-    parser.add_argument("--N", type=int)
-    parser.add_argument("--M", type=int)
-    parser.add_argument("--K", type=int)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--drift")
-    parser.add_argument("--negative-control", action="store_true", default=None)
+    for name, kind in list(typing.get_type_hints(ExperimentConfig).items())[1:]:
+        flag = "--out" if name == "output_dir" else "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest=name, action="store_true" if kind is bool else "store", default=None)
     return parser
 
 

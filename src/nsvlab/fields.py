@@ -3,7 +3,8 @@
 Fields live on T^2 = [0, 2pi)^2 and are stored as truncated Fourier
 coefficients on the square block |k|_inf <= K.  FourierScalarField and
 FourierVectorField share one base, FourierField, which holds the checks, the
-arithmetic and one coefficient-file format (to_json/from_json) for both.
+arithmetic, the one builder of hand-placed modes (from_modes) and one
+coefficient-file format (to_json/from_json) for both.
 All spatial averages use the normalized Haar measure, i.e. "dx" integrals
 divide by (2pi)^2.  Evaluation along scattered points is exact trigonometric
 summation over the stored modes, never grid interpolation, so operator
@@ -222,6 +223,20 @@ class FourierField:
         if np.any(self.coeffs[self.K, self.K].imag):
             self.coeffs = self.coeffs.copy()
             self.coeffs.imag[self.K, self.K] = 0.0
+
+    @classmethod
+    def from_modes(cls, K: int, modes: dict) -> "FourierField":
+        """The field with coefficient c at each wavevector k of modes, its
+        conjugate at -k and zero elsewhere, so each {k, -k} pair is listed
+        once.  SpectralError for a k outside |k|_inf <= K, where an index
+        would otherwise wrap around."""
+        coeffs = np.zeros((2 * K + 1, 2 * K + 1) + cls.VALUE_SHAPE, dtype=complex)
+        for (k1, k2), c in modes.items():
+            if max(abs(k1), abs(k2)) > K:
+                raise SpectralError(f"mode {[int(k1), int(k2)]} lies outside |k|_inf <= {K}")
+            coeffs[k1 + K, k2 + K] = c
+            coeffs[K - k1, K - k2] = np.conj(c)
+        return cls(K, coeffs)
 
     @property
     def mean(self):
@@ -543,9 +558,6 @@ class SpectralBasis:
     def basis_field(self, k, kind: str) -> FourierVectorField:
         """The cosine (A) or sine (B) frame field for wavevector k."""
         m = self._mode_index(k)
-        K = self.K
-        coeffs = np.zeros((2 * K + 1, 2 * K + 1, 2), dtype=complex)
-        ki = self.kvecs[m].astype(int)
         amp_perp = self.amps[m] * self.kperp[m]
         if kind == "cos":
             c = 0.5 * amp_perp.astype(complex)
@@ -553,9 +565,7 @@ class SpectralBasis:
             c = -0.5j * amp_perp
         else:
             raise SpectralError("kind must be 'cos' or 'sin'")
-        coeffs[ki[0] + K, ki[1] + K] = c
-        coeffs[-ki[0] + K, -ki[1] + K] = np.conj(c)
-        return FourierVectorField(K, coeffs)
+        return FourierVectorField.from_modes(self.K, {tuple(self.kvecs[m].astype(int)): c})
 
     def frame_sum(self, v, theta) -> float:
         """sum_k <A_k(theta), v>^2 + <B_k(theta), v>^2, equal to nu |v|^2."""

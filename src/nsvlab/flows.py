@@ -265,21 +265,6 @@ class TimeDependentVelocity:
 # -- canonical exact solution -------------------------------------------------
 
 
-def _decaying_vortex_coeffs(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-amplitude coefficients of (cos x1 sin x2, -sin x1 cos x2) and of
-    the matching pressure -(cos 2x1 + cos 2x2)/4."""
-    u = np.zeros((2 * K + 1, 2 * K + 1, 2), dtype=complex)
-    # cos a sin b = [sin(a+b) - sin(a-b)]/2, sin(k.x) -> -+ i/2 at modes +-k
-    u[K + 1, K + 1] = (-0.25j, 0.25j)
-    u[K - 1, K - 1] = (0.25j, -0.25j)
-    u[K + 1, K - 1] = (0.25j, 0.25j)
-    u[K - 1, K + 1] = (-0.25j, -0.25j)
-    p = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-    p[K + 2, K] = p[K - 2, K] = -0.125
-    p[K, K + 2] = p[K, K - 2] = -0.125
-    return u, p
-
-
 def taylor_green(nu: float, T: float, M: int, K: int = 2) -> TimeDependentVelocity:
     """Exact decaying-vortex solution of the viscous momentum equation.
 
@@ -290,10 +275,12 @@ def taylor_green(nu: float, T: float, M: int, K: int = 2) -> TimeDependentVeloci
         raise SpectralError("nu must be positive")
     if K < 2:
         raise SpectralError("K >= 2 required to hold the pressure modes")
-    u0, p0 = _decaying_vortex_coeffs(K)
+    # cos a sin b = [sin(a+b) - sin(a-b)]/2, and sin(k.x) has -i/2 at mode k
+    u0 = FourierVectorField.from_modes(K, {(1, 1): (-0.25j, 0.25j), (1, -1): (0.25j, 0.25j)})
+    p0 = FourierScalarField.from_modes(K, {(2, 0): -0.125, (0, 2): -0.125})
     times = np.linspace(0.0, T, M + 1)
-    frames = [FourierVectorField(K, np.exp(-2.0 * nu * t) * u0) for t in times]
-    pressures = [FourierScalarField(K, np.exp(-4.0 * nu * t) * p0) for t in times]
+    frames = [u0 * np.exp(-2.0 * nu * t) for t in times]
+    pressures = [p0 * np.exp(-4.0 * nu * t) for t in times]
     return TimeDependentVelocity(times, frames, pressures, nu)
 
 
@@ -316,13 +303,11 @@ def steady_flow(
     )
 
 
-def solve_navier_stokes(
-    u0: FourierVectorField, nu: float, T: float, M: int, with_pressure: bool = False
-) -> TimeDependentVelocity:
-    """March u0 forward with ns_step and collect frames (optionally pressures)."""
+def solve_navier_stokes(u0: FourierVectorField, nu: float, T: float, M: int) -> TimeDependentVelocity:
+    """March u0 forward with ns_step and collect the frames, with no pressures
+    (pressure_from_velocity solves one frame's)."""
     dt = T / M
     frames = [u0]
     for _ in range(M):
         frames.append(ns_step(frames[-1], nu, dt))
-    pressures = [pressure_from_velocity(f) for f in frames] if with_pressure else []
-    return TimeDependentVelocity(np.linspace(0.0, T, M + 1), frames, pressures, nu)
+    return TimeDependentVelocity(np.linspace(0.0, T, M + 1), frames, [], nu)

@@ -81,18 +81,6 @@ def flow_points(w: FourierVectorField, tau, points: np.ndarray, n_steps: int = F
     return _flow_map(w, points, n_steps)(tau)
 
 
-def flow_psi(pair: TestPair, eps: float, t, points: np.ndarray) -> np.ndarray:
-    """Frozen-time perturbation: integrate alpha(t) w for parameter length eps.
-
-    Equivalently the flow of w for time eps * alpha(t).  For an autonomous
-    test field this coincides with the moving-time perturbation
-    dPhi/dt = eps alpha'(t) w(Phi), Phi_0 = id: integrating eps alpha'(s) w
-    along s in [0, t] is the flow of w for time eps alpha(t).
-    """
-    tau = eps * pair.alpha(np.asarray(t, dtype=float))
-    return flow_points(pair.w, tau, points)
-
-
 # -- finite-difference first variation ------------------------------------------
 
 
@@ -101,8 +89,9 @@ def first_variation_fd(ens: PathEnsemble, pair: TestPair, nu: float) -> Estimate
     Richardson refined.
 
     Psi_eps pushes the ensemble forward, t -> Psi_eps^t(g_t) with Psi_eps^t the
-    flow of w for time eps alpha(t) (see flow_psi).  The perturbed drift is
-    rebuilt from the flat-space pushforward rule
+    flow of w for time eps alpha(t); for an autonomous w this is also the
+    moving-time perturbation dPhi/dt = eps alpha'(t) w(Phi), Phi_0 = id.  The
+    perturbed drift is rebuilt from the flat-space pushforward rule
 
         D_t(Psi(g)) = dPsi/dt + (grad Psi) D_t g + nu * (componentwise Lap Psi)
 
@@ -310,18 +299,19 @@ def minimality_check(ens: PathEnsemble, members: list, u: TimeDependentVelocity)
     est_B = EstimateWithError.from_samples(B_g)
 
     weights = time_weights(ens.n_steps + 1, ens.dt)
-    shared = {}
+    # beta, the running integral of c, fixes c: members sharing one beta share these
+    shared = [None] * len(members)
+    for beta, idx in group_by_identity([member.beta for _, member in members]):
+        c = members[idx[0]][1].c
+        c_sq = c**2 @ weights
+        den = (T / np.pi) ** 2 * c_sq
+        ratios = beta**2 @ weights / np.where(den > 0, den, 1.0)
+        c_drift = np.einsum("nj,nja->na", c * weights, ens.drift)
+        for i in idx:
+            shared[i] = (c_drift, c_sq, float(np.max(ratios)))
     rows = []
     all_ok = True
-    for (name, member), P_star in zip(members, P_members):
-        key = (id(member.c), id(member.beta))
-        if key not in shared:
-            c_sq = member.c**2 @ weights
-            den = (T / np.pi) ** 2 * c_sq
-            ratios = member.beta**2 @ weights / np.where(den > 0, den, 1.0)
-            c_drift = np.einsum("nj,nja->na", member.c * weights, ens.drift)
-            shared[key] = (c_drift, c_sq, float(np.max(ratios)))
-        c_drift, c_sq, poincare_max = shared[key]
+    for (name, member), P_star, (c_drift, c_sq, poincare_max) in zip(members, P_members, shared):
         a = member.direction
         cross = c_drift @ a
         half_offset = 0.5 * (a @ a) * c_sq

@@ -2,15 +2,20 @@
 
 import numpy as np
 
-from nsvlab.cli import _cos_x1 as cos_x1_scalar, _grad_sin_x1 as grad_sin_x1  # noqa: F401
-from nsvlab.fields import FourierVectorField, vector_laplacian
+from nsvlab.fields import FourierScalarField, FourierVectorField, vector_laplacian
 from nsvlab.flows import TimeDependentVelocity, advection_field
 
 
 def constant_field(c, K=2):
-    coeffs = np.zeros((2 * K + 1, 2 * K + 1, 2), complex)
-    coeffs[K, K] = c
-    return FourierVectorField(K, coeffs)
+    return FourierVectorField.from_modes(K, {(0, 0): c})
+
+
+def cos_x1_scalar(K=2):
+    return FourierScalarField.from_modes(K, {(1, 0): 0.5})
+
+
+def grad_sin_x1(K=2):
+    return FourierScalarField.from_modes(K, {(1, 0): -0.5j}).gradient_field()
 
 
 def ns_residual_norm(tg: TimeDependentVelocity, t: float) -> float:

@@ -98,7 +98,7 @@ class TestAction:
         """The time-blocked fold keeps exactly the columns of one running
         integral over the whole ensemble, for indices at and around a block
         edge, the ends, and unsorted and repeated requests."""
-        monkeypatch.setattr(action_module, "TIME_BLOCK", block)
+        monkeypatch.setattr(action_module, "time_block", lambda n: block)
         ens = tg_forward if which == "taylor-green" else brownian_bridge(0.0, 0.0, N=300, M=2040, cutoff=2.0**-8, seed=12)
         M, B = ens.n_steps, block
         cum = 0.5 * running_integral(_speed_squared(ens.drift), ens.dt)

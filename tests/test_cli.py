@@ -1,6 +1,7 @@
 """Command line front end: validation, artifacts, determinism, exit codes."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -379,6 +380,27 @@ class TestRun:
         assert not all(verdicts.values())
         assert (tmp_path / "tables" / "residuals.csv").exists()
 
+    def test_report_header_and_tables_from_the_records(self, tmp_path):
+        cfg = make_config("fields-check", K=2, save_paths=True, output_dir=str(tmp_path))
+        assert run(cfg) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        # the header keys and their order before the config's fields were read off it
+        assert list(doc) == [
+            "experiment", "seed", "nu", "T", "N", "M", "K", "beta", "drift", "negative_control",
+            "estimates", "verdicts", "timestamp",
+        ]
+        assert {k: doc[k] for k in list(doc)[:10]} == {
+            k: v for k, v in dataclasses.asdict(cfg).items() if k not in ("output_dir", "threads", "save_paths")
+        }
+        with open(tmp_path / "tables" / "estimates.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["name", "value", "std_error", "n", "nu", "seed"]
+        assert rows == [[e["name"], repr(e["value"]), repr(e["se"]), str(e["n"]), "0.1", "42"] for e in doc["estimates"]]
+        with open(tmp_path / "tables" / "verdicts.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["name", "pass"]
+        assert rows == [[v["name"], str(int(v["pass"]))] for v in doc["verdicts"]]
+
     def test_report_deterministic_except_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         codes = [
@@ -557,6 +579,29 @@ class TestPlots:
 class TestMainEntry:
     def test_usage_error_exit_one(self):
         assert main(["no-such-experiment"]) == 1
+
+    def test_help_lists_every_flag(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: nsvlab")
+        flags = {s for action in _parser()._actions for s in action.option_strings}
+        assert flags == {
+            "-h", "--help", "--config", "--seed", "--threads", "--save-paths", "--out", "--nu",
+            "--T", "--N", "--M", "--K", "--beta", "--drift", "--negative-control",
+        }
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--N", "3.0", "error: config field 'N' must be int, got '3.0'"),
+            ("--nu", "nan", "error: config field 'nu' must be float, got nan"),
+            ("--seed", "-1", "error: seed must be a non-negative 64-bit integer"),
+        ],
+    )
+    def test_bad_flag_value_exit_one_with_one_line(self, tmp_path, capsys, flag, value, message):
+        # flag values are coerced as config values are, not by argparse's usage exit
+        assert main(["action", "--drift", "zero", flag, value, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [message]
+        assert not (tmp_path / "report.json").exists()
 
     def test_huge_seed_exit_one_with_one_line(self, tmp_path, capsys):
         argv = ["action", "--drift", "zero", "--seed", "99999999999999999999999", "--out", str(tmp_path)]

@@ -28,24 +28,17 @@ from nsvlab.fields import (
     trig_sum,
     vector_laplacian,
 )
+from nsvlab.flows import taylor_green
 
 TWO_PI = 2 * np.pi
 
 
-def scalar_from_modes(K, entries):
-    c = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-    for (k1, k2), val in entries:
-        c[k1 + K, k2 + K] = val
-        c[-k1 + K, -k2 + K] = np.conj(val)
-    return FourierScalarField(K, c)
-
-
 def cos_x1_field(K=2):
-    return scalar_from_modes(K, [((1, 0), 0.5)])
+    return FourierScalarField.from_modes(K, {(1, 0): 0.5})
 
 
 def sin_x1_field(K=2):
-    return scalar_from_modes(K, [((1, 0), -0.5j)])
+    return FourierScalarField.from_modes(K, {(1, 0): -0.5j})
 
 
 # -- basis fields ------------------------------------------------------------
@@ -100,6 +93,83 @@ class TestBasisField:
         # the Stratonovich noise channels are indexed in this order
         order = np.lexsort((basis.kvecs[:, 1], basis.kvecs[:, 0]))
         np.testing.assert_array_equal(order, np.arange(basis.n_modes))
+
+
+class TestFromModes:
+    """from_modes, the one builder of hand-placed modes, gives the values of
+    each construction it replaced, written out here as it was.  Those wrote
+    some -k entries with the other sign of a zero than the conjugate of the
+    +k entry, so the checks are on values (np.array_equal), and evaluation,
+    which reads only the half lattice, is bitwise unchanged."""
+
+    def test_pairs_each_mode_with_its_conjugate(self):
+        f = FourierVectorField.from_modes(3, {(1, -2): (0.5 - 0.25j, -1.5j), (0, 0): (0.125, -0.0)})
+        want = np.zeros((7, 7, 2), complex)
+        want[4, 1] = (0.5 - 0.25j, -1.5j)
+        want[2, 5] = (0.5 + 0.25j, complex(-0.0, 1.5))  # np.conj keeps the sign of a zero
+        want[3, 3] = (0.125, -0.0)
+        assert f.coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [(3, 0), (-3, 1), (0, -3), (2, 5)])
+    @pytest.mark.parametrize("cls", [FourierScalarField, FourierVectorField])
+    def test_mode_outside_truncation_rejected(self, cls, k):
+        with pytest.raises(SpectralError, match="outside"):
+            cls.from_modes(2, {k: 1.0})
+
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    def test_basis_field_bitwise(self, kind):
+        K = 3
+        basis = SpectralBasis(beta=3.0, K=K, nu=0.1)
+        for m, k in enumerate(basis.kvecs.astype(int)):
+            amp_perp = basis.amps[m] * basis.kperp[m]
+            c = 0.5 * amp_perp.astype(complex) if kind == "cos" else -0.5j * amp_perp
+            want = np.zeros((2 * K + 1, 2 * K + 1, 2), dtype=complex)
+            want[k[0] + K, k[1] + K] = c
+            want[-k[0] + K, -k[1] + K] = np.conj(c)
+            assert basis.basis_field(k, kind).coeffs.tobytes() == want.tobytes()
+
+    def test_taylor_green_modes(self):
+        K = 3
+        u = np.zeros((2 * K + 1, 2 * K + 1, 2), dtype=complex)
+        u[K + 1, K + 1] = (-0.25j, 0.25j)
+        u[K - 1, K - 1] = (0.25j, -0.25j)
+        u[K + 1, K - 1] = (0.25j, 0.25j)
+        u[K - 1, K + 1] = (-0.25j, -0.25j)
+        p = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+        p[K + 2, K] = p[K - 2, K] = -0.125
+        p[K, K + 2] = p[K, K - 2] = -0.125
+        tg = taylor_green(0.1, 1.0, 4, K=K)
+        assert np.array_equal(tg.frames[0].coeffs, u)
+        assert np.array_equal(tg.pressures[0].coeffs, p)
+        for t, f, q in zip(tg.times, tg.frames, tg.pressures):
+            assert np.array_equal(f.coeffs, np.exp(-2.0 * 0.1 * t) * u)
+            assert np.array_equal(q.coeffs, np.exp(-4.0 * 0.1 * t) * p)
+
+    @pytest.mark.parametrize("amplitude", [0.5, -2.0])
+    def test_corruption_bump(self, amplitude):
+        from nsvlab.cli import _corruption_field
+
+        K = 2
+        want = np.zeros((2 * K + 1, 2 * K + 1, 2), dtype=complex)
+        kperp = np.array([1.0, -1.0])
+        want[K + 1, K + 1] = -0.5j * amplitude * kperp
+        want[K - 1, K - 1] = +0.5j * amplitude * kperp
+        assert np.array_equal(_corruption_field(K, amplitude).coeffs, want)
+
+    def test_test_suite_fields(self):
+        from helpers import constant_field, cos_x1_scalar, grad_sin_x1
+
+        K = 2
+        pc = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+        pc[K + 1, K] = 0.5
+        pc[K - 1, K] = 0.5
+        assert np.array_equal(cos_x1_scalar().coeffs, pc)
+        pc[K + 1, K] = -0.5j
+        pc[K - 1, K] = +0.5j
+        assert np.array_equal(grad_sin_x1().coeffs, FourierScalarField(K, pc).gradient_field().coeffs)
+        c = np.zeros((2 * K + 1, 2 * K + 1, 2), dtype=complex)
+        c[K, K] = (0.7, -0.2)
+        assert np.array_equal(constant_field((0.7, -0.2)).coeffs, c)
 
 
 class TestFrameIdentity:
@@ -220,8 +290,6 @@ class TestLaplacians:
             assert abs(lhs - rhs) <= 1e-10
 
     def test_taylor_green_profile_has_eigenvalue_two(self):
-        from nsvlab.flows import taylor_green
-
         u0 = taylor_green(0.1, 1.0, 1, K=2).frames[0]
         out = deformation_laplacian(u0)
         np.testing.assert_allclose(out.coeffs, 2.0 * u0.coeffs, atol=1e-15)
@@ -658,7 +726,7 @@ class TestStructure:
         )
 
     def test_scalar_file_bytes_pinned(self):
-        p = scalar_from_modes(1, [((1, 0), 0.5 - 0.25j), ((0, 1), -0.0)])
+        p = FourierScalarField.from_modes(1, {(1, 0): 0.5 - 0.25j, (0, 1): -0.0})
         assert p.to_json() == (
             '{"K": 1, "modes": [{"k": [-1, 0], "re": 0.5, "im": 0.25}, {"k": [0, -1], "re": -0.0, "im": 0.0}, '
             '{"k": [0, 1], "re": -0.0, "im": 0.0}, {"k": [1, 0], "re": 0.5, "im": -0.25}], "mean": 0.0}'

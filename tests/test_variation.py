@@ -14,7 +14,6 @@ from nsvlab.variation import (
     _pressure_along,
     first_variation_fd,
     flow_points,
-    flow_psi,
     mean_acceleration_check,
     minimality_check,
     pinned_family,
@@ -49,6 +48,15 @@ def ens_forward(tg_flow):
 def ens_reversed(tg_flow):
     params = SdeParams(nu=NU, T=T, drift_source=tg_flow, orientation=REVERSED)
     return simulate_ito(params, N=5000, M=300, seed=19)
+
+
+def flow_psi(pair: TestPair, eps: float, t, points: np.ndarray) -> np.ndarray:
+    """Frozen-time perturbation: integrate alpha(t) w for parameter length eps,
+    the flow of w for time eps alpha(t).  For an autonomous test field this is
+    the moving-time perturbation dPhi/dt = eps alpha'(t) w(Phi), Phi_0 = id,
+    that first_variation_fd pushes the ensemble forward by."""
+    tau = eps * pair.alpha(np.asarray(t, dtype=float))
+    return flow_points(pair.w, tau, points)
 
 
 class TestPerturbationFlows:
@@ -116,10 +124,7 @@ def shear_oracle_inputs(seed=11, n=2000):
 
 def single_mode_with_mean_along_k(K=2):
     # cos(x1) e2 is a frame field; a mean along k = (1, 0) makes k.x drift
-    coeffs = np.zeros((2 * K + 1, 2 * K + 1, 2), complex)
-    coeffs[K + 1, K] = coeffs[K - 1, K] = (0.0, 0.5)
-    coeffs[K, K] = (0.3, 0.1)
-    return FourierVectorField(K, coeffs)
+    return FourierVectorField.from_modes(K, {(1, 0): (0.0, 0.5), (0, 0): (0.3, 0.1)})
 
 
 class TestShearFlow:
